@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -113,7 +114,7 @@ def run_child(args: argparse.Namespace, work: Path, fixture_dir: Path | None,
     if timeout <= 0:
         raise RuntimeError("out of time before the workload started")
     cmd += ["--t0", repr(time.monotonic())]
-    # subprocess.run kills and reaps the child on timeout
+    # subprocess.run kills and reaps the child on timeout or any exception
     proc = subprocess.run(cmd, cwd=ROOT, timeout=timeout)
     if proc.returncode != 0:
         raise RuntimeError(f"workload process exited with code {proc.returncode}")
@@ -131,14 +132,13 @@ def percentile(values: list[float], q: int) -> float:
 def end_to_end(setups: list[float], main: dict) -> dict:
     lat_ms = [x * 1000 for x in main["latencies_s"]]
     n = len(lat_ms)
-    metrics = {
+    return {
         "op_ms_p50": (percentile(lat_ms, 50), "ms", n),
         "op_ms_p90": (percentile(lat_ms, 90), "ms", n),
         "items_per_s": (main["items_per_op"] * n / main["wall_s"], "1/s", n),
         "setup_s": (statistics.median(setups), "s", len(setups)),
         "peak_rss_mb": (main["peak_rss_mb"], "MB", 1),
     }
-    return metrics
 
 
 def per_layer(plain: dict, traced: dict) -> dict:
@@ -168,6 +168,8 @@ def main(argv=None) -> int:
             return fail(f"{path.relative_to(ROOT)} not found; "
                         "run from the root of an rgbtseg checkout")
 
+    # a terminated run still kills and reaps its workload process (see run_child)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     nproc = limit_blas_threads()
     work = WORK / f"run-{os.getpid()}"
     results = WORK / "results"
