@@ -2,7 +2,7 @@
 
 Run from the root of a checkout of the repository:
 
-    python3 perfbench/run.py --workload train --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload train --seed 1 --seconds 35 --trace 0
 
 Workloads: train, infer, infer-hires, gradcheck (see perfbench/README.md).
 The run writes its inputs from ``--seed`` into ``.perfbench/``, starts the
