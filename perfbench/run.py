@@ -43,16 +43,16 @@ WORK = ROOT / ".perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("train", "infer", "infer-hires", "gradcheck")
 
-# The workload-specific name of each end-to-end metric, as the issue that
-# defined the benchmark calls it.
-ISSUE_NAMES = {
+# The workload-specific name each workload-neutral end-to-end metric stands
+# for; the table prints it beside the metric.
+WORKLOAD_NAMES = {
     "train": {"op_ms_p50": "step_ms_p50", "op_ms_p90": "step_ms_p90",
               "items_per_s": "train_samples_per_s"},
     "infer": {"op_ms_p50": "predict_ms_p50", "op_ms_p90": "predict_ms_p90",
               "items_per_s": "predict_images_per_s"},
     "gradcheck": {"op_ms_p50": "gradcheck_suite_s (x1000)"},
 }
-ISSUE_NAMES["infer-hires"] = ISSUE_NAMES["infer"]
+WORKLOAD_NAMES["infer-hires"] = WORKLOAD_NAMES["infer"]
 
 # End-to-end metrics with a regression bound (BENCHMARK.json). The tail and
 # throughput are printed too, but on a host whose speed drifts they spread
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     print("env " + json.dumps(env))
     for c in children:
         print("checks " + json.dumps(c["checks"]))
-    aliases = {} if args.trace else ISSUE_NAMES[args.workload]
+    aliases = {} if args.trace else WORKLOAD_NAMES[args.workload]
     reported = metrics if args.trace else {k: metrics[k] for k in GATED}
     print(f"{'metric':<26} {'value':>14} {'unit':<6} {'samples':>7}")
     for name, (value, unit, n) in metrics.items():

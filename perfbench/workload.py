@@ -268,7 +268,7 @@ def run_gradcheck(seconds: float, tracer: Tracer | None, seed: int) -> dict:
     }
 
 
-# -- driver -----------------------------------------------------------------------
+# -- entry point ------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
