@@ -19,11 +19,12 @@ from .config import ConfigValidationError, RunConfig
 from .data import (CLASS_NAMES, ManifestError, gen_synthetic, load_dataset,
                    save_dataset)
 from .model import RgbtSegModel
+from .params import param_ledger
 from .pnm import PnmFormatError, read_pgm, read_ppm, to_float, write_pgm, write_ppm
 from .prompts import (ClassVocabulary, PointPrompt, VocabularyFormatError,
                       load_text_embeddings, save_text_embeddings)
 from .tensor import NumericError
-from .train import evaluate, param_ledger, train
+from .train import evaluate, train
 from .verify import run_suite
 
 PALETTE = np.array([
@@ -81,7 +82,11 @@ def cmd_train(args) -> int:
     if args.steps is not None:
         cfg.train.steps = args.steps
     samples, class_names = load_dataset(args.data)
-    train_samples = [s for s in samples if s.split == "train"] or samples
+    train_samples = [s for s in samples if s.split == "train"]
+    if not train_samples:
+        print("warning: no samples tagged 'train'; training on all samples",
+              file=sys.stderr)
+        train_samples = samples
     vocab = (load_text_embeddings(args.classes) if args.classes
              else ClassVocabulary.from_names(class_names, cfg.model.d_t,
                                              cfg.backbone_seed))

@@ -16,7 +16,7 @@ so generation parallelizes and stays deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +129,6 @@ def gen_synthetic(n: int, size: tuple[int, int] = (64, 64), seed: int = 0,
     return samples
 
 
-@dataclass
-class DatasetManifest:
-    classes: list[str]
-    samples: list[dict]  # {"rgb", "thermal", "label", "split"}
-    root: Path = field(default_factory=Path)
-
-
 def save_dataset(samples: list[RgbtSample], root, classes=CLASS_NAMES) -> Path:
     """Write images and a manifest under ``root``; returns the manifest path."""
     root = Path(root)
@@ -172,7 +165,10 @@ def load_dataset(manifest_path) -> tuple[list[RgbtSample], list[str]]:
         raise ManifestError("manifest needs 'classes' and 'samples' fields")
     root = manifest_path.parent
     samples = []
-    for entry in doc["samples"]:
+    for i, entry in enumerate(doc["samples"]):
+        for k in ("rgb", "thermal", "label"):
+            if k not in entry:
+                raise ManifestError(f"manifest sample {i} has no '{k}' field")
         paths = {k: root / entry[k] for k in ("rgb", "thermal", "label")}
         for k, p in paths.items():
             if not p.exists():

@@ -7,10 +7,12 @@ projections carry LoRA adapters, upscales the refined image features, aligns
 them with class text embeddings through cross-attention, and scores every
 pixel against the projected text embeddings.
 
-The refined token output is computed and exposed but feeds no head; the
-class-score path runs entirely through the upscaled image features. With the
-text path disabled a plain per-class linear head replaces the similarity
-head (class-permutation equivariance then no longer applies).
+Only the refined image features feed a head: the class-score path runs
+entirely through the upscaled image features, and the refined tokens are
+dropped after the last two-way layer. The text path runs in canonical
+(name-sorted) class order and gathers the logits back into the caller's order
+at the end. With the text path disabled a plain per-class linear head replaces
+the similarity head (class-permutation equivariance then no longer applies).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .tensor import ShapeError, Tensor
 @dataclass
 class DecoderOutputs:
     e_m: Tensor       # refined image feature grid [Hp, Wp, d]
-    e_f: Tensor       # refined tokens [(1+M+K), d]; exposed, consumed by nothing
     e_mask: Tensor    # upscaled per-pixel mask embeddings [4Hp, 4Wp, d_m]
     f_text: Tensor | None  # text-aligned features [4Hp, 4Wp, d_v] (None if text off)
     logits: Tensor    # per-class scores at input resolution [H, W, C]
@@ -137,51 +138,33 @@ class MaskDecoder:
         tokens = e_t
         for layer in self.layers:
             tokens, img = layer(tokens, img, pe)
-        return tokens_to_grid(img, hp, wp), tokens
+        return tokens_to_grid(img, hp, wp)
 
     def upscale_masks(self, e_m: Tensor) -> Tensor:
         return T.gelu(self.up2(T.gelu(self.up1(e_m))))
 
-    def text_cross_attention(self, e_mask: Tensor, vocab: ClassVocabulary) -> Tensor:
-        """Per-pixel attention over class text embeddings; weights softmax over
-        the class axis, output is the attention-weighted value rows.
-
-        The class reduction runs in canonical (name-sorted) order so the result
-        is bitwise independent of how the caller ordered the vocabulary; the
-        reduction output has no class axis, so no un-sorting is needed.
-        """
-        if vocab.num_classes == 0:
-            raise ValueError("vocabulary is empty")
+    def text_cross_attention(self, e_mask: Tensor, et: Tensor, keys: Tensor) -> Tensor:
+        """Per-pixel attention over class text embeddings ``et`` [C, d_t] with
+        keys ``keys`` = et W_K; weights softmax over the class axis, output is
+        the attention-weighted value rows. The output has no class axis."""
         hu, wu, dm = e_mask.shape
         q = T.matmul(e_mask.reshape(hu * wu, dm), self.w_q)
-        order = sorted(range(vocab.num_classes), key=lambda i: vocab.names[i])
-        et = Tensor(vocab.embeddings[order])
-        k = T.matmul(et, self.w_k)
         v = T.matmul(et, self.w_v)
-        attn = T.softmax(T.matmul(q, k.transpose(1, 0)) * (1.0 / np.sqrt(self.cfg.d_k)),
+        attn = T.softmax(T.matmul(q, keys.transpose(1, 0)) * (1.0 / np.sqrt(self.cfg.d_k)),
                          axis=-1)
         return T.matmul(attn, v).reshape(hu, wu, self.cfg.d_v)
 
-    def class_logits(self, e_mask: Tensor, f_text: Tensor | None,
-                     vocab: ClassVocabulary, out_size: tuple[int, int]) -> Tensor:
+    def class_logits(self, e_mask: Tensor, f_text: Tensor | None, keys: Tensor | None,
+                     out_size: tuple[int, int]) -> Tensor:
+        """Per-class scores [H, W, C] at ``out_size``; with the text path the
+        classes come in the row order of ``keys``."""
+        if not self.enable_text:
+            return bilinear_resize(self.head(e_mask), *out_size)
         hu, wu, _ = e_mask.shape
-        if self.enable_text:
-            # Run the class-scoring matmuls in canonical (name-sorted) order
-            # and only reorder channels at the very end: BLAS kernels are not
-            # bitwise permutation-equivariant, but a 0/1 permutation matmul is
-            # exact, so permuting the vocabulary permutes logits bitwise.
-            c = vocab.num_classes
-            order = sorted(range(c), key=lambda i: vocab.names[i])
-            feats = self.head(T.concat([e_mask, f_text], axis=-1))
-            k = T.matmul(Tensor(vocab.embeddings[order]), self.w_k)
-            low = T.matmul(feats.reshape(hu * wu, self.cfg.d_k), k.transpose(1, 0))
-            low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(hu, wu, c)
-            resized = bilinear_resize(low, *out_size)
-            unsort = np.zeros((c, c))
-            unsort[np.argsort(np.array(order)), np.arange(c)] = 1.0
-            h, w = out_size
-            return T.matmul(resized.reshape(h * w, c), Tensor(unsort)).reshape(h, w, c)
-        return bilinear_resize(self.head(e_mask), *out_size)
+        feats = self.head(T.concat([e_mask, f_text], axis=-1))
+        low = T.matmul(feats.reshape(hu * wu, self.cfg.d_k), keys.transpose(1, 0))
+        low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(hu, wu, keys.shape[0])
+        return bilinear_resize(low, *out_size)
 
     # -- full pass ---------------------------------------------------------------
 
@@ -190,9 +173,19 @@ class MaskDecoder:
         hp, wp, _ = e_en.shape
         pe = self.prompt_encoder.positional_grid(hp, wp)
         e_s, e_p, e_t = self.assemble_inputs(e_en, pe, sparse)
-        e_m, e_f = self.two_way_transformer(e_s, e_p, e_t)
+        e_m = self.two_way_transformer(e_s, e_p, e_t)
         e_mask = self.upscale_masks(e_m)
-        f_text = self.text_cross_attention(e_mask, vocab) if self.enable_text else None
-        logits = self.class_logits(e_mask, f_text, vocab, out_size)
-        return DecoderOutputs(e_m=e_m, e_f=e_f, e_mask=e_mask, f_text=f_text,
-                              logits=logits)
+        if not self.enable_text:
+            logits = self.class_logits(e_mask, None, None, out_size)
+            return DecoderOutputs(e_m=e_m, e_mask=e_mask, f_text=None, logits=logits)
+        # Run every class-axis matmul in canonical (name-sorted) order and
+        # only reorder channels at the very end: BLAS kernels are not bitwise
+        # permutation-equivariant, but a gather is exact, so permuting the
+        # vocabulary permutes the logits bitwise.
+        order = sorted(range(vocab.num_classes), key=vocab.names.__getitem__)
+        et = Tensor(vocab.embeddings[order])
+        keys = T.matmul(et, self.w_k)
+        f_text = self.text_cross_attention(e_mask, et, keys)
+        logits = self.class_logits(e_mask, f_text, keys, out_size)
+        return DecoderOutputs(e_m=e_m, e_mask=e_mask, f_text=f_text,
+                              logits=logits[..., np.argsort(order)])

@@ -1,22 +1,23 @@
 """Dual-branch RGB-thermal image encoder.
 
 A frozen RGB patch embedding and a trainable thermal patch embedding feed a
-stack of N (fusion block, frozen transformer block with LoRA Q/V) pairs. Each
-fusion block projects both streams through 1x1 convs, gates the backbone
-stream with squeeze-and-excitation, and re-projects through a zero-initialized
-output conv - so at initialization the encoder computes exactly the frozen
-RGB-only backbone function, bitwise independent of the thermal input.
+stack of N (fusion block, frozen transformer block with LoRA Q/V) pairs. Two
+patch grids are threaded through the stack: the fusion stream, which starts
+as the thermal embedding, and the backbone stream, which starts as the RGB
+embedding. Each fusion block projects both streams through 1x1 convs, gates
+the backbone stream with squeeze-and-excitation, and re-projects through a
+zero-initialized output conv - so at initialization the encoder computes
+exactly the frozen RGB-only backbone function, bitwise independent of the
+thermal input.
 
 With fusion disabled (ablation baseline) the two patch embedding sequences
 are concatenated along the token axis and fed to the same frozen backbone;
-the RGB-position tokens of the output form the image embedding, so thermal
-information reaches them only through the (frozen, low-rank-adapted)
+the first (RGB-position) half of the output tokens forms the image embedding,
+so thermal information reaches it only through the (frozen, low-rank-adapted)
 attention - there is no dedicated trainable fusion path.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +26,6 @@ from .layers import (Linear, PatchEmbed, SEBlock, TransformerBlock,
                      grid_to_tokens, tokens_to_grid)
 from .params import ParamRegistry, derive_rng
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class EncoderState:
-    """The pair of streams threaded through the encoder stack."""
-    f_dffm: Tensor  # fusion-stream feature grid [Hp, Wp, d]
-    f_tb: Tensor    # backbone-stream feature grid [Hp, Wp, d]
-    depth_index: int
 
 
 class DffmBlock:
@@ -57,8 +50,8 @@ class DffmBlock:
                           init_gain=self.INIT_GAIN)
         self.conv_out = Linear(reg, f"{name}.conv_out", d, d, rng, zero_init=True)
 
-    def __call__(self, state: EncoderState) -> Tensor:
-        return self.conv_out(self.conv_prev(state.f_dffm) + self.se(self.conv_tb(state.f_tb)))
+    def __call__(self, f_dffm: Tensor, f_tb: Tensor) -> Tensor:
+        return self.conv_out(self.conv_prev(f_dffm) + self.se(self.conv_tb(f_tb)))
 
 
 class RgbtEncoder:
@@ -87,35 +80,23 @@ class RgbtEncoder:
                 for i in range(cfg.depth)
             ]
 
-    def embed_pair(self, rgb: Tensor, th: Tensor) -> EncoderState:
-        """Patch-embed both modalities into the depth-0 encoder state."""
+    def forward(self, rgb: Tensor, th: Tensor) -> Tensor:
+        """Run the full encoder; returns the image embedding grid [Hp, Wp, d]."""
         if rgb.shape[:2] != th.shape[:2]:
             raise ShapeError(
                 f"rgb {rgb.shape[:2]} and thermal {th.shape[:2]} are not pixel-aligned"
             )
-        return EncoderState(f_dffm=self.thermal_embed(th),
-                            f_tb=self.rgb_embed(rgb), depth_index=0)
-
-    def forward(self, rgb: Tensor, th: Tensor) -> Tensor:
-        """Run the full encoder; returns the image embedding grid [Hp, Wp, d]."""
-        state = self.embed_pair(rgb, th)
-        hp, wp, d = state.f_tb.shape
+        f_dffm = self.thermal_embed(th)
+        f_tb = self.rgb_embed(rgb)
+        hp, wp, _ = f_tb.shape
 
         if not self.enable_dffm:
-            n = hp * wp
-            tokens = T.concat(
-                [grid_to_tokens(state.f_tb), grid_to_tokens(state.f_dffm)], axis=0)
+            tokens = T.concat([grid_to_tokens(f_tb), grid_to_tokens(f_dffm)], axis=0)
             for block in self.blocks:
                 tokens = block(tokens)
-            # keep the RGB-position half of the sequence as the spatial output
-            sel = Tensor(np.array([[1.0, 0.0]]))
-            rgb_half = T.matmul(sel, tokens.reshape(2, n * d)).reshape(n, d)
-            return tokens_to_grid(rgb_half, hp, wp)
+            return tokens_to_grid(tokens[:hp * wp], hp, wp)
 
-        for i, (dffm, block) in enumerate(zip(self.dffm, self.blocks), start=1):
-            f_dffm = dffm(state)
-            tokens = block(grid_to_tokens(state.f_tb + f_dffm))
-            state = EncoderState(f_dffm=f_dffm,
-                                 f_tb=tokens_to_grid(tokens, hp, wp),
-                                 depth_index=i)
-        return state.f_tb
+        for dffm, block in zip(self.dffm, self.blocks):
+            f_dffm = dffm(f_dffm, f_tb)
+            f_tb = tokens_to_grid(block(grid_to_tokens(f_tb + f_dffm)), hp, wp)
+        return f_tb

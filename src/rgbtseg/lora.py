@@ -63,9 +63,6 @@ class LoraLinear:
         """Dense W0 + scale * (B A), in the stored [d_in, d_out] layout."""
         return self.W0.data + self.scale * (self.B.data @ self.A.data).T
 
-    def param_count(self) -> int:
-        return self.A.size + self.B.size
-
 
 def lora_param_count(d: int, rank: int, sites: int) -> int:
     """Trainable adapter parameters for ``sites`` adapted d x d projections."""

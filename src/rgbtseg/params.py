@@ -1,8 +1,10 @@
-"""Named parameter registry with frozen/trainable bookkeeping."""
+"""Named parameter registry with frozen/trainable bookkeeping, and the
+trainable-parameter ledger."""
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +57,6 @@ class ParamRegistry:
     def frozen(self):
         return [(n, t) for n, (t, frozen) in self._entries.items() if frozen]
 
-    def trainable_count(self) -> int:
-        return sum(t.size for _, t in self.trainable())
-
-    def frozen_count(self) -> int:
-        return sum(t.size for _, t in self.frozen())
-
     def zero_grad(self) -> None:
         for _, (t, _) in self._entries.items():
             t.grad = None
@@ -73,7 +69,7 @@ class ParamRegistry:
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
-            raise KeyError(
+            raise ValueError(
                 f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
         for name, (arr, frozen) in state.items():
@@ -96,3 +92,66 @@ def derive_rng(seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+
+
+# -- parameter ledger -----------------------------------------------------------
+
+LEDGER_GROUPS = [
+    "thermal_patch_embed",
+    "dffm",
+    "encoder_lora",
+    "decoder_lora",
+    "decoder_heads",
+    "text_attention",
+    "prompt_embeddings",
+]
+
+
+def _classify(name: str) -> str | None:
+    if name.startswith("encoder.thermal_embed"):
+        return "thermal_patch_embed"
+    if name.startswith("encoder.dffm"):
+        return "dffm"
+    if name.startswith("encoder.blocks") and ".lora." in name:
+        return "encoder_lora"
+    if name.startswith("decoder.twoway") and ".lora." in name:
+        return "decoder_lora"
+    if name.startswith("decoder.upscale") or name.startswith("decoder.head"):
+        return "decoder_heads"
+    if name.startswith("decoder.text_attn"):
+        return "text_attention"
+    if name.startswith("prompt.") or name.startswith("decoder.tokens"):
+        return "prompt_embeddings"
+    return None
+
+
+@dataclass
+class LedgerReport:
+    groups: dict[str, int] = field(default_factory=dict)
+    trainable_total: int = 0
+    frozen_total: int = 0
+
+    def lines(self) -> list[str]:
+        width = max(len(g) for g in LEDGER_GROUPS)
+        out = [f"{'group':<{width}}  trainable"]
+        for g in LEDGER_GROUPS:
+            if g in self.groups:
+                out.append(f"{g:<{width}}  {self.groups[g]:>9d}")
+        out.append(f"{'total trainable':<{width}}  {self.trainable_total:>9d}")
+        out.append(f"{'total frozen':<{width}}  {self.frozen_total:>9d}")
+        return out
+
+
+def param_ledger(registry) -> LedgerReport:
+    """Group trainable parameter counts; totals are exact sums."""
+    report = LedgerReport()
+    for name, (tensor, frozen) in registry.items():
+        if frozen:
+            report.frozen_total += tensor.size
+            continue
+        group = _classify(name)
+        if group is None:
+            raise KeyError(f"trainable parameter '{name}' fits no ledger group")
+        report.groups[group] = report.groups.get(group, 0) + tensor.size
+        report.trainable_total += tensor.size
+    return report

@@ -59,9 +59,6 @@ class ClassVocabulary:
     def num_classes(self) -> int:
         return len(self.names)
 
-    def tensor(self) -> Tensor:
-        return Tensor(self.embeddings)
-
     @staticmethod
     def from_names(names: list[str], dim: int, seed: int = 0) -> "ClassVocabulary":
         emb = np.stack([toy_text_embed(n, dim, seed) for n in names])

@@ -17,10 +17,6 @@ from scipy import special
 
 DEFAULT_DTYPE = np.float64
 
-# Module-level switch; per-op finite checks are cheap at desk scale but can
-# be turned off for profiling.
-NAN_CHECKS = True
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
@@ -35,7 +31,7 @@ class GradCheckError(RuntimeError):
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if NAN_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -98,9 +94,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -178,6 +171,18 @@ class Tensor:
         return matmul(self, other)
 
     # -- shape ops ------------------------------------------------------------
+
+    def __getitem__(self, index):
+        """numpy indexing (slices, Ellipsis, integer arrays); gradients of
+        repeated indices accumulate."""
+        shape = self.shape
+
+        def backward(g, acc):
+            full = np.zeros(shape, dtype=g.dtype)
+            np.add.at(full, index, g)
+            acc(self, full)
+
+        return Tensor._from_op(np.asarray(self.data[index]), (self,), backward, "index")
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

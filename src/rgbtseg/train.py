@@ -1,9 +1,9 @@
-"""Training loop, evaluation, and the trainable-parameter ledger."""
+"""Training loop and evaluation."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,66 +97,3 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
     results["overall"] = SplitResult("overall", overall.iou(),
                                      overall.miou(include_absent), n)
     return results
-
-
-# -- parameter ledger -----------------------------------------------------------
-
-LEDGER_GROUPS = [
-    "thermal_patch_embed",
-    "dffm",
-    "encoder_lora",
-    "decoder_lora",
-    "decoder_heads",
-    "text_attention",
-    "prompt_embeddings",
-]
-
-
-def _classify(name: str) -> str | None:
-    if name.startswith("encoder.thermal_embed"):
-        return "thermal_patch_embed"
-    if name.startswith("encoder.dffm"):
-        return "dffm"
-    if name.startswith("encoder.blocks") and ".lora." in name:
-        return "encoder_lora"
-    if name.startswith("decoder.twoway") and ".lora." in name:
-        return "decoder_lora"
-    if name.startswith("decoder.upscale") or name.startswith("decoder.head"):
-        return "decoder_heads"
-    if name.startswith("decoder.text_attn"):
-        return "text_attention"
-    if name.startswith("prompt.") or name.startswith("decoder.tokens"):
-        return "prompt_embeddings"
-    return None
-
-
-@dataclass
-class LedgerReport:
-    groups: dict[str, int] = field(default_factory=dict)
-    trainable_total: int = 0
-    frozen_total: int = 0
-
-    def lines(self) -> list[str]:
-        width = max(len(g) for g in LEDGER_GROUPS)
-        out = [f"{'group':<{width}}  trainable"]
-        for g in LEDGER_GROUPS:
-            if g in self.groups:
-                out.append(f"{g:<{width}}  {self.groups[g]:>9d}")
-        out.append(f"{'total trainable':<{width}}  {self.trainable_total:>9d}")
-        out.append(f"{'total frozen':<{width}}  {self.frozen_total:>9d}")
-        return out
-
-
-def param_ledger(registry) -> LedgerReport:
-    """Group trainable parameter counts; totals are exact sums."""
-    report = LedgerReport()
-    for name, (tensor, frozen) in registry.items():
-        if frozen:
-            report.frozen_total += tensor.size
-            continue
-        group = _classify(name)
-        if group is None:
-            raise KeyError(f"trainable parameter '{name}' fits no ledger group")
-        report.groups[group] = report.groups.get(group, 0) + tensor.size
-        report.trainable_total += tensor.size
-    return report

@@ -75,6 +75,11 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
             lambda t, r=Tensor(rng.normal(size=(m, 2 * n))):
                 (T.concat([t.reshape(n, m).transpose(1, 0), t], axis=1) * r).sum(),
             x)
+        # a slice plus a repeated column: the gradients of repeats accumulate
+        yield check(
+            f"index[{si}]",
+            lambda t, r=Tensor(rng.normal(size=(m - 1, 3))): (t[1:, [n - 1, 0, 0]] * r).sum(),
+            x)
 
     # layer-level composites, one registry each
     for si, d in enumerate([8, 12, 16]):

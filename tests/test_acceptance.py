@@ -22,11 +22,11 @@ from rgbtseg.losses import cross_entropy, dice_loss
 from rgbtseg.metrics import iou_per_class, miou
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.optim import AdamW
-from rgbtseg.params import ParamRegistry
+from rgbtseg.params import ParamRegistry, param_ledger
 from rgbtseg.pnm import write_pgm, write_ppm
 from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 from rgbtseg.tensor import Tensor
-from rgbtseg.train import evaluate, param_ledger, train
+from rgbtseg.train import evaluate, train
 from rgbtseg.verify import run_suite
 
 TRAIN_SEED, TEST_SEED = 1000, 2000

@@ -86,6 +86,41 @@ def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
                      "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_eval_config_mismatching_checkpoint_exits_2(short_run, dataset, tmp_path, capsys):
+    cfg = RunConfig()
+    cfg.model.enable_dffm = False
+    path = tmp_path / "no_dffm.json"
+    path.write_text(cfg.to_json())
+    assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
+                     "--data", str(dataset), "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter set mismatch")
+    assert len(err.splitlines()) == 1
+
+
+def test_manifest_entry_missing_field_exits_2(dataset, tmp_path, capsys):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    del doc["samples"][0]["label"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--data", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: manifest sample 0 has no 'label' field\n"
+
+
+def test_train_without_train_split_warns(tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert cli.main(["gen-data", "--out", str(data), "--n", "1",
+                     "--split", "test"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                     "--steps", "0"]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: no samples tagged 'train'; training on all samples\n"
+
+
 def test_infer_deterministic_and_in_range(short_run, dataset, tmp_path):
     rgb = str(dataset / "sample_0000_rgb.ppm")
     th = str(dataset / "sample_0000_th.pgm")

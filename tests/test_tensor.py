@@ -127,3 +127,17 @@ def test_pow_grad():
     x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     (x ** 3).sum().backward()
     assert np.allclose(x.grad, 3.0 * np.array([4.0, 9.0]))
+
+
+def test_index_forward_matches_numpy():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    t = Tensor(x)
+    gather = (Ellipsis, np.array([3, 0, 3]))
+    for index in (slice(1, None), gather, np.array([1, 1, 0])):
+        assert np.array_equal(t[index].data, x[index])
+
+
+def test_index_backward_accumulates_repeats():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    (x[np.array([0, 2, 0, 0])] * Tensor(np.array([1.0, 2.0, 3.0, 4.0]))).sum().backward()
+    assert np.array_equal(x.grad, [8.0, 0.0, 2.0, 0.0])
