@@ -46,15 +46,25 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary:
+    """The vocabulary of --classes, else the checkpoint's sibling classes.json,
+    else ``class_names``; checked against the loaded model's config."""
     if classes_path:
-        return load_text_embeddings(classes_path)
-    if ckpt_path:
-        sibling = Path(ckpt_path).parent / "classes.json"
-        if sibling.exists():
-            return load_text_embeddings(sibling)
-    if class_names is None:
+        vocab = load_text_embeddings(classes_path)
+    elif ckpt_path and (Path(ckpt_path).parent / "classes.json").exists():
+        vocab = load_text_embeddings(Path(ckpt_path).parent / "classes.json")
+    elif class_names is None:
         raise UsageError("no class vocabulary available; pass --classes")
-    return ClassVocabulary.from_names(class_names, cfg.model.d_t, cfg.backbone_seed)
+    else:
+        vocab = ClassVocabulary.from_names(class_names, cfg.model.d_t, cfg.backbone_seed)
+    if vocab.dim != cfg.model.d_t:
+        raise UsageError(
+            f"class embedding dim {vocab.dim} does not match checkpoint d_t "
+            f"{cfg.model.d_t}")
+    if not cfg.model.enable_text and vocab.num_classes != cfg.model.num_classes:
+        raise UsageError(
+            f"{vocab.num_classes} classes do not match the text-free head's "
+            f"{cfg.model.num_classes}")
+    return vocab
 
 
 def cmd_gen_data(args) -> int:
@@ -169,12 +179,6 @@ def _parse_points(spec: str | None) -> PointPrompt:
 def cmd_infer(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
     vocab = _resolve_vocab(args.classes, args.ckpt, None, cfg)
-    if vocab.dim != cfg.model.d_t:
-        raise UsageError(
-            f"class embedding dim {vocab.dim} does not match checkpoint d_t "
-            f"{cfg.model.d_t}")
-    if cfg.model.enable_text is False and vocab.num_classes != cfg.model.num_classes:
-        raise UsageError("class count does not match the text-free head")
     rgb = to_float(read_ppm(args.rgb))
     th = to_float(read_pgm(args.thermal))[:, :, None]
     pred = model.predict(rgb, th, vocab, _parse_points(args.points))

@@ -161,14 +161,20 @@ def load_dataset(manifest_path) -> tuple[list[RgbtSample], list[str]]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ManifestError(f"malformed manifest: {e}") from e
-    if "classes" not in doc or "samples" not in doc:
-        raise ManifestError("manifest needs 'classes' and 'samples' fields")
+    if not (isinstance(doc, dict) and isinstance(doc.get("classes"), list)
+            and isinstance(doc.get("samples"), list)):
+        raise ManifestError("manifest needs 'classes' and 'samples' lists")
     root = manifest_path.parent
     samples = []
     for i, entry in enumerate(doc["samples"]):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"manifest sample {i} is not an object")
         for k in ("rgb", "thermal", "label"):
             if k not in entry:
                 raise ManifestError(f"manifest sample {i} has no '{k}' field")
+        for k in ("rgb", "thermal", "label", "split"):
+            if not isinstance(entry.get(k, ""), str):
+                raise ManifestError(f"manifest sample {i} field '{k}' is not a string")
         paths = {k: root / entry[k] for k in ("rgb", "thermal", "label")}
         for k, p in paths.items():
             if not p.exists():

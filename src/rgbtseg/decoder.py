@@ -13,6 +13,10 @@ dropped after the last two-way layer. The text path runs in canonical
 (name-sorted) class order and gathers the logits back into the caller's order
 at the end. With the text path disabled a plain per-class linear head replaces
 the similarity head (class-permutation equivariance then no longer applies).
+
+Image-side tensors keep the encoder output's leading batch axes. The token
+stack, the positional grid and the class text rows have none: they are shared
+by every image of a batch and broadcast against it.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class DecoderOutputs:
-    e_m: Tensor       # refined image feature grid [Hp, Wp, d]
-    e_mask: Tensor    # upscaled per-pixel mask embeddings [4Hp, 4Wp, d_m]
-    f_text: Tensor | None  # text-aligned features [4Hp, 4Wp, d_v] (None if text off)
-    logits: Tensor    # per-class scores at input resolution [H, W, C]
+    e_m: Tensor       # refined image feature grid [..., Hp, Wp, d]
+    e_mask: Tensor    # upscaled per-pixel mask embeddings [..., 4Hp, 4Wp, d_m]
+    f_text: Tensor | None  # text-aligned [..., 4Hp, 4Wp, d_v] (None if text off)
+    logits: Tensor    # per-class scores at input resolution [..., H, W, C]
 
 
 class TwoWayLayer:
@@ -125,14 +129,14 @@ class MaskDecoder:
     def assemble_inputs(self, e_en: Tensor, pe: Tensor, sparse: Tensor):
         """Eq-style input assembly: image + dense embedding, positional grid,
         and the [iou, mask..., sparse...] token stack."""
-        if e_en.shape != pe.shape:
+        if e_en.shape[-3:] != pe.shape:
             raise ShapeError(f"image grid {e_en.shape} vs positional grid {pe.shape}")
         e_s = e_en + self.prompt_encoder.dense
         e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
         return e_s, pe, e_t
 
     def two_way_transformer(self, e_s: Tensor, e_p: Tensor, e_t: Tensor):
-        hp, wp, d = e_s.shape
+        hp, wp, _ = e_s.shape[-3:]
         img = grid_to_tokens(e_s)
         pe = grid_to_tokens(e_p)
         tokens = e_t
@@ -147,30 +151,30 @@ class MaskDecoder:
         """Per-pixel attention over class text embeddings ``et`` [C, d_t] with
         keys ``keys`` = et W_K; weights softmax over the class axis, output is
         the attention-weighted value rows. The output has no class axis."""
-        hu, wu, dm = e_mask.shape
-        q = T.matmul(e_mask.reshape(hu * wu, dm), self.w_q)
+        *lead, hu, wu, dm = e_mask.shape
+        q = T.matmul(e_mask.reshape(-1, dm), self.w_q)
         v = T.matmul(et, self.w_v)
         attn = T.softmax(T.matmul(q, keys.transpose(1, 0)) * (1.0 / np.sqrt(self.cfg.d_k)),
                          axis=-1)
-        return T.matmul(attn, v).reshape(hu, wu, self.cfg.d_v)
+        return T.matmul(attn, v).reshape(*lead, hu, wu, self.cfg.d_v)
 
     def class_logits(self, e_mask: Tensor, f_text: Tensor | None, keys: Tensor | None,
                      out_size: tuple[int, int]) -> Tensor:
-        """Per-class scores [H, W, C] at ``out_size``; with the text path the
-        classes come in the row order of ``keys``."""
+        """Per-class scores [..., H, W, C] at ``out_size``; with the text path
+        the classes come in the row order of ``keys``."""
         if not self.enable_text:
             return bilinear_resize(self.head(e_mask), *out_size)
-        hu, wu, _ = e_mask.shape
         feats = self.head(T.concat([e_mask, f_text], axis=-1))
-        low = T.matmul(feats.reshape(hu * wu, self.cfg.d_k), keys.transpose(1, 0))
-        low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(hu, wu, keys.shape[0])
+        low = T.matmul(feats.reshape(-1, self.cfg.d_k), keys.transpose(1, 0))
+        low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(*e_mask.shape[:-1],
+                                                            keys.shape[0])
         return bilinear_resize(low, *out_size)
 
     # -- full pass ---------------------------------------------------------------
 
     def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
                 out_size: tuple[int, int]) -> DecoderOutputs:
-        hp, wp, _ = e_en.shape
+        hp, wp, _ = e_en.shape[-3:]
         pe = self.prompt_encoder.positional_grid(hp, wp)
         e_s, e_p, e_t = self.assemble_inputs(e_en, pe, sparse)
         e_m = self.two_way_transformer(e_s, e_p, e_t)

@@ -15,6 +15,9 @@ are concatenated along the token axis and fed to the same frozen backbone;
 the first (RGB-position) half of the output tokens forms the image embedding,
 so thermal information reaches it only through the (frozen, low-rank-adapted)
 attention - there is no dedicated trainable fusion path.
+
+Images are [..., H, W, c]; every grid and token sequence keeps the images'
+leading batch axes.
 """
 
 from __future__ import annotations
@@ -81,20 +84,21 @@ class RgbtEncoder:
             ]
 
     def forward(self, rgb: Tensor, th: Tensor) -> Tensor:
-        """Run the full encoder; returns the image embedding grid [Hp, Wp, d]."""
-        if rgb.shape[:2] != th.shape[:2]:
+        """Run the full encoder; returns the image embedding grid [..., Hp, Wp, d]."""
+        if rgb.shape[:-1] != th.shape[:-1]:
             raise ShapeError(
-                f"rgb {rgb.shape[:2]} and thermal {th.shape[:2]} are not pixel-aligned"
+                f"rgb {rgb.shape[:-1]} and thermal {th.shape[:-1]} differ in "
+                "batch or pixel axes"
             )
         f_dffm = self.thermal_embed(th)
         f_tb = self.rgb_embed(rgb)
-        hp, wp, _ = f_tb.shape
+        hp, wp, _ = f_tb.shape[-3:]
 
         if not self.enable_dffm:
-            tokens = T.concat([grid_to_tokens(f_tb), grid_to_tokens(f_dffm)], axis=0)
+            tokens = T.concat([grid_to_tokens(f_tb), grid_to_tokens(f_dffm)], axis=-2)
             for block in self.blocks:
                 tokens = block(tokens)
-            return tokens_to_grid(tokens[:hp * wp], hp, wp)
+            return tokens_to_grid(tokens[..., :hp * wp, :], hp, wp)
 
         for dffm, block in zip(self.dffm, self.blocks):
             f_dffm = dffm(f_dffm, f_tb)

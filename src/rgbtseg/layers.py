@@ -2,8 +2,10 @@
 patch embedding, transformer blocks, 2x2 transposed conv, bilinear resize.
 
 Layers register their parameters into a ParamRegistry at construction under a
-hierarchical name prefix. Feature maps are Tensors shaped [H, W, d]; token
-sequences are [n, d]; grid<->token reshapes are bit-exact.
+hierarchical name prefix. Feature maps are Tensors shaped [..., H, W, d];
+token sequences are [..., n, d]; grid<->token reshapes are bit-exact. Every
+layer takes any number of leading batch axes, and a call without one is the
+zero-leading-axes case of the same code.
 """
 
 from __future__ import annotations
@@ -22,15 +24,21 @@ class ConfigError(ValueError):
 
 
 def grid_to_tokens(x: Tensor) -> Tensor:
-    h, w, d = x.shape
-    return x.reshape(h * w, d)
+    *lead, h, w, d = x.shape
+    return x.reshape(*lead, h * w, d)
 
 
 def tokens_to_grid(x: Tensor, h: int, w: int) -> Tensor:
-    n, d = x.shape
+    *lead, n, d = x.shape
     if n != h * w:
         raise ShapeError(f"cannot reshape {n} tokens to {h}x{w} grid")
-    return x.reshape(h, w, d)
+    return x.reshape(*lead, h, w, d)
+
+
+def _permute_trailing(x: Tensor, *axes: int) -> Tensor:
+    """Permute the last ``len(axes)`` axes by ``axes``; leading axes stay."""
+    lead = x.ndim - len(axes)
+    return x.transpose(*range(lead), *(lead + a for a in axes))
 
 
 class Linear:
@@ -83,6 +91,8 @@ class MultiHeadAttention:
     ``lora_rank``/``lora_alpha`` wrap the (frozen) Q and V projections in
     LoraLinear; K and the output projection stay plain. ``d_q`` lets the
     query stream differ from key/value only in token count, not width.
+    Queries are [..., nq, d] and keys/values [..., nk, d]; the leading axes
+    broadcast, so one unbatched query stack can attend over a batch.
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
@@ -112,18 +122,23 @@ class MultiHeadAttention:
         self.out_proj = Linear(reg, f"{name}.out", d, d, ro, frozen)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        nq, nk = q.shape[0], k.shape[0]
         h, hd = self.heads, self.head_dim
-        qh = self.q_proj(q).reshape(nq, h, hd).transpose(1, 0, 2)
-        kh = self.k_proj(k).reshape(nk, h, hd).transpose(1, 0, 2)
-        vh = self.v_proj(v).reshape(nk, h, hd).transpose(1, 0, 2)
-        attn = T.softmax(T.matmul(qh, kh.transpose(0, 2, 1)) * self.scale, axis=-1)
-        out = T.matmul(attn, vh).transpose(1, 0, 2).reshape(nq, self.d)
-        return self.out_proj(out)
+
+        def split_heads(x: Tensor) -> Tensor:  # [..., n, d] -> [..., h, n, hd]
+            return _permute_trailing(x.reshape(*x.shape[:-1], h, hd), 1, 0, 2)
+
+        qh = split_heads(self.q_proj(q))
+        kh = split_heads(self.k_proj(k))
+        vh = split_heads(self.v_proj(v))
+        attn = T.softmax(T.matmul(qh, _permute_trailing(kh, 0, 2, 1)) * self.scale,
+                         axis=-1)
+        out = _permute_trailing(T.matmul(attn, vh), 1, 0, 2)
+        return self.out_proj(out.reshape(*out.shape[:-2], self.d))
 
 
 class SEBlock:
-    """Squeeze-and-excitation channel gating over a [H, W, d] feature map."""
+    """Squeeze-and-excitation channel gating over a [..., H, W, d] feature
+    map; each map is squeezed over its own H and W."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, reduction: int,
                  rng: np.random.Generator, init_gain: float = 1.0):
@@ -136,10 +151,10 @@ class SEBlock:
                           init_std=init_gain / np.sqrt(hidden))
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, d = x.shape
-        squeeze = x.reshape(h * w, d).mean(axis=0)
-        gate = T.sigmoid(self.fc2(T.relu(self.fc1(squeeze.reshape(1, -1)))))
-        return x * gate.reshape(d)
+        *lead, h, w, d = x.shape
+        squeeze = x.reshape(*lead, h * w, d).mean(axis=-2)
+        gate = T.sigmoid(self.fc2(T.relu(self.fc1(squeeze))))
+        return x * gate.reshape(*lead, 1, 1, d)
 
 
 class PatchEmbed:
@@ -161,16 +176,16 @@ class PatchEmbed:
         self.b = reg.register(f"{name}.b", Tensor(np.zeros(d)), frozen)
 
     def __call__(self, img: Tensor) -> Tensor:
-        h, w, c = img.shape
+        *lead, h, w, c = img.shape
         p = self.patch
         if c != self.in_ch:
             raise ShapeError(f"expected {self.in_ch} channels, got {c}")
         if h % p != 0 or w % p != 0:
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         hp, wp = h // p, w // p
-        x = img.reshape(hp, p, wp, p, c).transpose(0, 2, 1, 3, 4)
-        x = x.reshape(hp * wp, p * p * c)
-        return (T.matmul(x, self.W) + self.b).reshape(hp, wp, self.d)
+        x = _permute_trailing(img.reshape(*lead, hp, p, wp, p, c), 0, 2, 1, 3, 4)
+        x = x.reshape(-1, p * p * c)
+        return (T.matmul(x, self.W) + self.b).reshape(*lead, hp, wp, self.d)
 
 
 class Mlp:
@@ -205,7 +220,7 @@ class TransformerBlock:
 
 
 class ConvTranspose2x2:
-    """Stride-2, kernel-2 transposed conv: [H, W, d_in] -> [2H, 2W, d_out].
+    """Stride-2, kernel-2 transposed conv: [..., H, W, d_in] -> [..., 2H, 2W, d_out].
 
     Kernel equals stride, so each input pixel expands independently into a
     2x2 output block: a per-pixel linear map followed by a pixel shuffle.
@@ -221,9 +236,9 @@ class ConvTranspose2x2:
         self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w, d = x.shape
-        y = T.matmul(x.reshape(h * w, d), self.W).reshape(h, w, 2, 2, self.d_out)
-        y = y.transpose(0, 2, 1, 3, 4).reshape(2 * h, 2 * w, self.d_out)
+        *lead, h, w, d = x.shape
+        y = T.matmul(x.reshape(-1, d), self.W).reshape(*lead, h, w, 2, 2, self.d_out)
+        y = _permute_trailing(y, 0, 2, 1, 3, 4).reshape(*lead, 2 * h, 2 * w, self.d_out)
         return y + self.b
 
 
@@ -243,11 +258,11 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Differentiable bilinear resize of a [H, W, C] tensor."""
-    h, w, c = x.shape
+    """Differentiable bilinear resize of a [..., H, W, C] tensor."""
+    *lead, h, w, c = x.shape
     rh = Tensor(_resize_matrix(h, out_h))
     rw = Tensor(_resize_matrix(w, out_w))
-    y = T.matmul(rh, x.reshape(h, w * c)).reshape(out_h, w, c)
-    y = y.transpose(1, 0, 2).reshape(w, out_h * c)
-    y = T.matmul(rw, y).reshape(out_w, out_h, c).transpose(1, 0, 2)
-    return y
+    y = T.matmul(rh, x.reshape(*lead, h, w * c)).reshape(*lead, out_h, w, c)
+    y = _permute_trailing(y, 1, 0, 2).reshape(*lead, w, out_h * c)
+    y = T.matmul(rw, y).reshape(*lead, out_w, out_h, c)
+    return _permute_trailing(y, 1, 0, 2)

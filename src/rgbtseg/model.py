@@ -1,5 +1,11 @@
 """The full segmentation model: encoder + prompt encoder + mask decoder over
-one shared parameter registry."""
+one shared parameter registry.
+
+``forward`` takes one image pair ([H, W, 3] and [H, W, 1]) or a batch of
+equally sized pairs ([..., H, W, 3] and [..., H, W, 1], the same leading axes
+on both); logits come back as [..., H, W, C]. One point prompt, if given, is
+shared by every image of the batch.
+"""
 
 from __future__ import annotations
 
@@ -27,18 +33,18 @@ class RgbtSegModel:
                 points: PointPrompt | None = None) -> DecoderOutputs:
         rgb = rgb if isinstance(rgb, Tensor) else Tensor(rgb)
         th = th if isinstance(th, Tensor) else Tensor(th)
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ShapeError(f"rgb must be [H, W, 3], got {rgb.shape}")
-        if th.ndim != 3 or th.shape[2] != 1:
-            raise ShapeError(f"thermal must be [H, W, 1], got {th.shape}")
-        h, w = rgb.shape[0], rgb.shape[1]
+        if rgb.ndim < 3 or rgb.shape[-1] != 3:
+            raise ShapeError(f"rgb must be [..., H, W, 3], got {rgb.shape}")
+        if th.ndim < 3 or th.shape[-1] != 1:
+            raise ShapeError(f"thermal must be [..., H, W, 1], got {th.shape}")
+        h, w = rgb.shape[-3], rgb.shape[-2]
         e_en = self.encoder.forward(rgb, th)
         sparse = self.prompt_encoder.encode_points(points or PointPrompt([]), (h, w))
         return self.decoder.forward(e_en, vocab, sparse, (h, w))
 
     def predict(self, rgb, th, vocab: ClassVocabulary,
                 points: PointPrompt | None = None) -> np.ndarray:
-        """Hard label map [H, W] (argmax over class logits)."""
+        """Hard label map [..., H, W] (argmax over class logits)."""
         out = self.forward(rgb, th, vocab, points)
         return np.argmax(out.logits.data, axis=-1).astype(np.int64)
 

@@ -4,7 +4,9 @@ Every value flowing through the model is a Tensor wrapping a float64 (or
 float32) numpy array. Ops build an implicit graph through parent references;
 calling ``backward()`` on a scalar walks the graph in reverse topological
 order exactly once and deposits gradients on the leaf tensors that requested
-them. The graph is released after backward.
+them. The graph is released after backward. Binary ops compute an operand's
+gradient only if that operand requires one, so frozen weights cost no
+gradient arithmetic.
 
 Non-finite results abort immediately with the name of the offending op so a
 NaN can never silently poison a training run.
@@ -109,8 +111,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(g, acc):
-            acc(self, _unbroadcast(g, self.shape))
-            acc(other, _unbroadcast(g, other.shape))
+            if self.requires_grad:
+                acc(self, _unbroadcast(g, self.shape))
+            if other.requires_grad:
+                acc(other, _unbroadcast(g, other.shape))
 
         return Tensor._from_op(data, (self, other), backward, "add")
 
@@ -121,8 +125,10 @@ class Tensor:
         data = self.data - other.data
 
         def backward(g, acc):
-            acc(self, _unbroadcast(g, self.shape))
-            acc(other, _unbroadcast(-g, other.shape))
+            if self.requires_grad:
+                acc(self, _unbroadcast(g, self.shape))
+            if other.requires_grad:
+                acc(other, _unbroadcast(-g, other.shape))
 
         return Tensor._from_op(data, (self, other), backward, "sub")
 
@@ -134,8 +140,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(g, acc):
-            acc(self, _unbroadcast(g * other.data, self.shape))
-            acc(other, _unbroadcast(g * self.data, other.shape))
+            if self.requires_grad:
+                acc(self, _unbroadcast(g * other.data, self.shape))
+            if other.requires_grad:
+                acc(other, _unbroadcast(g * self.data, other.shape))
 
         return Tensor._from_op(data, (self, other), backward, "mul")
 
@@ -146,8 +154,10 @@ class Tensor:
         data = self.data / other.data
 
         def backward(g, acc):
-            acc(self, _unbroadcast(g / other.data, self.shape))
-            acc(other, _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
+            if self.requires_grad:
+                acc(self, _unbroadcast(g / other.data, self.shape))
+            if other.requires_grad:
+                acc(other, _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
 
         return Tensor._from_op(data, (self, other), backward, "div")
 
@@ -301,10 +311,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g, acc):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        acc(a, _unbroadcast(ga, a.shape))
-        acc(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(data, (a, b), backward, "matmul")
 

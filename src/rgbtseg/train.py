@@ -1,4 +1,11 @@
-"""Training loop and evaluation."""
+"""Training loop and evaluation.
+
+A training step stacks its batch into [B, H, W, ·] arrays and runs one
+forward, one loss and one backward over them. Samples of different image
+sizes cannot share a stack, so a batch is split into groups of equal shape;
+each group's loss is weighted by its share of the batch, which keeps the
+objective the mean of the per-sample losses.
+"""
 
 from __future__ import annotations
 
@@ -44,16 +51,23 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         if cfg.cosine_lr:
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, cfg.steps)))
 
-        acc = IouAccumulator(num_classes, cfg.ignore_label)
-        loss = None
+        groups: dict[tuple, list[RgbtSample]] = {}
         for i in idx:
             s = samples[i]
-            out = model.forward(s.rgb, s.thermal, vocab)
-            term = total_loss(out.logits, s.labels, cfg.lambda_dice,
+            groups.setdefault((s.rgb.shape, s.thermal.shape, s.labels.shape),
+                              []).append(s)
+
+        acc = IouAccumulator(num_classes, cfg.ignore_label)
+        loss = None
+        for group in groups.values():
+            labels = np.stack([s.labels for s in group])
+            out = model.forward(np.stack([s.rgb for s in group]),
+                                np.stack([s.thermal for s in group]), vocab)
+            term = total_loss(out.logits, labels, cfg.lambda_dice,
                               cfg.ignore_label, cfg.dice_smooth)
+            term = term * (len(group) / cfg.batch)
             loss = term if loss is None else loss + term
-            acc.update(np.argmax(out.logits.data, axis=-1), s.labels)
-        loss = loss * (1.0 / cfg.batch)
+            acc.update(np.argmax(out.logits.data, axis=-1), labels)
         opt.zero_grad()
         loss.backward()
         opt.step()

@@ -10,6 +10,7 @@ from rgbtseg.checkpoint import load_checkpoint
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.pnm import read_pgm
+from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 
 
 def _dir_bytes(root):
@@ -186,3 +187,45 @@ def test_print_config_round_trips(capsys):
 def test_gradcheck_command_exits_0(capsys):
     assert cli.main(["gradcheck"]) == 0
     assert "full_model" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("num_classes", [3, 5])
+def test_eval_vocab_mismatching_text_free_head_exits_2(dataset, tmp_path, capsys,
+                                                        num_classes):
+    cfg = RunConfig()
+    cfg.model.enable_dffm = False
+    cfg.model.enable_decoder_lora = False
+    cfg.model.enable_text = False
+    config = tmp_path / "baseline.json"
+    config.write_text(cfg.to_json())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(dataset), "--out", str(run),
+                     "--config", str(config), "--steps", "0"]) == 0
+    classes = tmp_path / "classes.json"
+    save_text_embeddings(classes, ClassVocabulary.from_names(
+        [f"class_{i}" for i in range(num_classes)], cfg.model.d_t))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                     "--data", str(dataset), "--classes", str(classes),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {num_classes} classes do not match the text-free "
+                   "head's 4\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(samples=5), "manifest needs 'classes' and 'samples' lists"),
+    (lambda doc: doc.update(samples=[5]), "manifest sample 0 is not an object"),
+    (lambda doc: doc["samples"][0].update(rgb=5),
+     "manifest sample 0 field 'rgb' is not a string"),
+    (lambda doc: doc["samples"][0].update(split=["train"]),
+     "manifest sample 0 field 'split' is not a string"),
+], ids=["samples_not_list", "sample_not_object", "path_not_string", "split_not_string"])
+def test_manifest_malformed_sample_exits_2(dataset, tmp_path, capsys, edit, message):
+    doc = json.loads((dataset / "manifest.json").read_text())
+    edit(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--data", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
