@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .config import ConfigValidationError, RunConfig
-from .data import (CLASS_NAMES, ManifestError, gen_synthetic, load_dataset,
-                   save_dataset)
+from .config import RunConfig
+from .data import CLASS_NAMES, gen_synthetic, load_dataset, save_dataset
 from .model import RgbtSegModel
 from .params import param_ledger
-from .pnm import PnmFormatError, read_pgm, read_ppm, to_float, write_pgm, write_ppm
-from .prompts import (ClassVocabulary, PointPrompt, VocabularyFormatError,
-                      load_text_embeddings, save_text_embeddings)
+from .pnm import read_pgm, read_ppm, to_float, write_pgm, write_ppm
+from .prompts import (ClassVocabulary, PointPrompt, load_text_embeddings,
+                      save_text_embeddings)
 from .tensor import NumericError
 from .train import evaluate, train
 from .verify import run_suite
@@ -72,11 +71,7 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"--size {args.size} must be divisible by the patch size 8")
     samples = gen_synthetic(args.n, (args.size, args.size), args.seed,
                             split=args.split)
-    out = Path(args.out)
-    try:
-        manifest = save_dataset(samples, out)
-    except OSError as e:
-        raise UsageError(f"cannot write dataset: {e}") from e
+    manifest = save_dataset(samples, Path(args.out))
     total = args.n * args.size * args.size
     pixels = np.zeros(len(CLASS_NAMES), dtype=np.int64)
     for s in samples:
@@ -171,8 +166,11 @@ def _parse_points(spec: str | None) -> PointPrompt:
         return PointPrompt([])
     points = []
     for part in spec.split(";"):
-        x, y, label = part.split(",")
-        points.append((float(x), float(y), int(label)))
+        try:
+            x, y, label = part.split(",")
+            points.append((float(x), float(y), int(label)))
+        except ValueError:
+            raise UsageError(f"--points: '{part}' is not x,y,label") from None
     return PointPrompt(points)
 
 
@@ -278,9 +276,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return 3
-    except (UsageError, ConfigValidationError, ManifestError,
-            VocabularyFormatError, PnmFormatError, ckpt_io.CheckpointError,
-            FileNotFoundError, ValueError) as e:
+    except (UsageError, ckpt_io.CheckpointError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -31,14 +31,11 @@ from .layers import (ConvTranspose2x2, LayerNorm, Linear, Mlp,
                      tokens_to_grid)
 from .params import ParamRegistry, derive_rng
 from .prompts import ClassVocabulary, PromptEncoder
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 @dataclass
 class DecoderOutputs:
-    e_m: Tensor       # refined image feature grid [..., Hp, Wp, d]
-    e_mask: Tensor    # upscaled per-pixel mask embeddings [..., 4Hp, 4Wp, d_m]
-    f_text: Tensor | None  # text-aligned [..., 4Hp, 4Wp, d_v] (None if text off)
     logits: Tensor    # per-class scores at input resolution [..., H, W, C]
 
 
@@ -126,15 +123,6 @@ class MaskDecoder:
 
     # -- stages ----------------------------------------------------------------
 
-    def assemble_inputs(self, e_en: Tensor, pe: Tensor, sparse: Tensor):
-        """Eq-style input assembly: image + dense embedding, positional grid,
-        and the [iou, mask..., sparse...] token stack."""
-        if e_en.shape[-3:] != pe.shape:
-            raise ShapeError(f"image grid {e_en.shape} vs positional grid {pe.shape}")
-        e_s = e_en + self.prompt_encoder.dense
-        e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
-        return e_s, pe, e_t
-
     def two_way_transformer(self, e_s: Tensor, e_p: Tensor, e_t: Tensor):
         hp, wp, _ = e_s.shape[-3:]
         img = grid_to_tokens(e_s)
@@ -175,13 +163,13 @@ class MaskDecoder:
     def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
                 out_size: tuple[int, int]) -> DecoderOutputs:
         hp, wp, _ = e_en.shape[-3:]
-        pe = self.prompt_encoder.positional_grid(hp, wp)
-        e_s, e_p, e_t = self.assemble_inputs(e_en, pe, sparse)
-        e_m = self.two_way_transformer(e_s, e_p, e_t)
-        e_mask = self.upscale_masks(e_m)
+        # image + dense embedding, positional grid, [iou, mask..., sparse...] tokens
+        e_s = e_en + self.prompt_encoder.dense
+        e_p = self.prompt_encoder.positional_grid(hp, wp)
+        e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
+        e_mask = self.upscale_masks(self.two_way_transformer(e_s, e_p, e_t))
         if not self.enable_text:
-            logits = self.class_logits(e_mask, None, None, out_size)
-            return DecoderOutputs(e_m=e_m, e_mask=e_mask, f_text=None, logits=logits)
+            return DecoderOutputs(logits=self.class_logits(e_mask, None, None, out_size))
         # Run every class-axis matmul in canonical (name-sorted) order and
         # only reorder channels at the very end: BLAS kernels are not bitwise
         # permutation-equivariant, but a gather is exact, so permuting the
@@ -191,5 +179,4 @@ class MaskDecoder:
         keys = T.matmul(et, self.w_k)
         f_text = self.text_cross_attention(e_mask, et, keys)
         logits = self.class_logits(e_mask, f_text, keys, out_size)
-        return DecoderOutputs(e_m=e_m, e_mask=e_mask, f_text=f_text,
-                              logits=logits[..., np.argsort(order)])
+        return DecoderOutputs(logits=logits[..., np.argsort(order)])

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
+from .lora import LoraLinear
 from .params import ParamRegistry
 from .tensor import ShapeError, Tensor
 
@@ -98,8 +99,6 @@ class MultiHeadAttention:
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
                  rng: np.random.Generator, frozen: bool = False,
                  lora_rank: int | None = None, lora_alpha: float | None = None):
-        from .lora import LoraLinear  # local import to avoid a cycle
-
         if d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by heads {heads}")
         self.d, self.heads = d, heads

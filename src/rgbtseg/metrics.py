@@ -2,13 +2,15 @@
 
 Classes whose union is empty (never predicted and never labeled) are marked
 absent with NaN, not scored 0; the default mIoU policy averages over present
-classes only.
+classes only. Ground truth follows the losses' label rule (``losses.valid_labels``):
+a label outside [0, C) that is not the ignore label raises LabelError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .losses import valid_labels
 from .tensor import ShapeError
 
 
@@ -23,8 +25,8 @@ def confusion_counts(pred: np.ndarray, gt: np.ndarray, num_classes: int,
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"pred {pred.shape} vs gt {gt.shape}")
-    valid = gt != ignore_label
-    p, g = pred[valid], gt[valid]
+    valid, g = valid_labels(gt, num_classes, ignore_label)
+    p = pred[valid]
     counts = np.zeros((num_classes, 3), dtype=np.int64)
     for c in range(num_classes):
         pc, gc = p == c, g == c

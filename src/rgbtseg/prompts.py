@@ -157,16 +157,16 @@ class PromptEncoder:
         h, w = image_size
         if len(prompt) == 0:
             return Tensor(np.zeros((0, self.d)))
-        coords, onehot = [], np.zeros((len(prompt), 2))
-        for i, (x, y, label) in enumerate(prompt.points):
+        coords, labels = [], []
+        for x, y, label in prompt.points:
             if not (0 <= x < w and 0 <= y < h):
                 raise PointError(f"point ({x}, {y}) outside image {w}x{h}")
             if label not in (FOREGROUND, BACKGROUND):
                 raise PointError(f"point label must be 0 or 1, got {label}")
             coords.append(((x + 0.5) / w, (y + 0.5) / h))
-            onehot[i, label] = 1.0
+            labels.append(label)
         pos = self._fourier_encode(np.asarray(coords))
-        return Tensor(pos) + Tensor(onehot) @ self.point_labels
+        return Tensor(pos) + self.point_labels[np.asarray(labels, dtype=np.intp)]
 
     def positional_grid(self, hp: int, wp: int) -> Tensor:
         """Frozen positional encoding grid [hp, wp, d] at patch centers."""

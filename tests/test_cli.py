@@ -229,3 +229,41 @@ def test_manifest_malformed_sample_exits_2(dataset, tmp_path, capsys, edit, mess
     assert cli.main(["train", "--data", str(path),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _three_class_vocab(tmp_path):
+    path = tmp_path / "classes.json"
+    save_text_embeddings(path, ClassVocabulary.from_names(
+        ["a", "b", "c"], RunConfig().model.d_t))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda run, data, tmp: ["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                             "--data", str(data), "--classes", _three_class_vocab(tmp),
+                             "--out", str(tmp / "r.json")],
+     "labels must lie in [0, 3) or equal ignore=255; found 0..3"),
+    (lambda run, data, tmp: ["eval", "--ckpt", str(run), "--data", str(data),
+                             "--out", str(tmp / "r.json")],
+     "Is a directory"),
+    (lambda run, data, tmp: ["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                             "--data", str(data), "--out", str(tmp)],
+     "Is a directory"),
+    (lambda run, data, tmp: ["infer", "--ckpt", str(run / "checkpoint.tseg"),
+                             "--rgb", str(data / "sample_0000_rgb.ppm"),
+                             "--thermal", str(data / "sample_0000_th.pgm"),
+                             "--points", "1,2", "--out", str(tmp / "m.pgm")],
+     "--points: '1,2' is not x,y,label"),
+    (lambda run, data, tmp: ["gen-data", "--out", str(run / "config.json" / "ds"),
+                             "--n", "1"],
+     "Not a directory"),
+], ids=["labels_out_of_range", "ckpt_is_dir", "out_is_dir", "points_too_short",
+        "gen_data_out_under_file"])
+def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
+                                         argv, message):
+    args = argv(short_run, dataset, tmp_path)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1

@@ -70,3 +70,22 @@ def test_losses_backpropagate():
     total_loss(logits, labels).backward()
     assert logits.grad is not None
     assert logits.grad.shape == (2, 2, 3)
+
+
+def test_total_loss_warns_once_for_an_all_ignored_image():
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 3, (2, 4, 4))
+    labels[0] = 255
+    with pytest.warns(UserWarning) as record:
+        total_loss(Tensor(rng.normal(size=(2, 4, 4, 3))), labels)
+    assert len(record) == 1
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+def test_total_loss_equals_its_terms_bitwise(lead):
+    rng = np.random.default_rng(7)
+    logits = Tensor(rng.normal(size=(*lead, 5, 6, 4)))
+    labels = rng.integers(0, 4, (*lead, 5, 6))
+    labels[..., 0, :] = 255
+    separate = cross_entropy(logits, labels) + dice_loss(logits, labels) * 0.7
+    assert total_loss(logits, labels, 0.7).item() == separate.item()

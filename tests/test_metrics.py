@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rgbtseg.losses import LabelError
 from rgbtseg.metrics import (IouAccumulator, MetricError, confusion_counts,
                              iou_from_counts, iou_per_class, miou)
 
@@ -68,3 +69,12 @@ def test_accumulator_matches_pooled_computation():
 def test_iou_from_counts_formula():
     counts = np.array([[3, 1, 2]])  # TP, FP, FN
     assert np.isclose(iou_from_counts(counts)[0], 3 / 6)
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_confusion_counts_rejects_out_of_range_labels(bad):
+    pred = np.array([[0, 1, 2]])
+    with pytest.raises(LabelError):
+        confusion_counts(pred, np.array([[0, bad, 2]]), 3)
+    counts = confusion_counts(pred, np.array([[0, 255, 2]]), 3)
+    assert counts[:, 0].tolist() == [1, 0, 1]

@@ -71,3 +71,15 @@ def test_prompt_encoder_param_freezing():
     assert reg.is_frozen("prompt.fourier")
     assert not reg.is_frozen("prompt.point_labels")
     assert not reg.get("prompt.dense").data.any()
+
+
+def test_point_labels_are_gathered_by_index():
+    reg = ParamRegistry()
+    enc = PromptEncoder(reg, 8, seed=3)
+    points = [(3.0, 4.0, 1), (60.0, 10.0, 0), (20.0, 30.0, 1)]
+    out = enc.encode_points(PointPrompt(points), (64, 64))
+    coords = np.array([((x + 0.5) / 64, (y + 0.5) / 64) for x, y, _ in points])
+    pos = enc._fourier_encode(coords)
+    assert np.array_equal(out.data, pos + enc.point_labels.data[[1, 0, 1]])
+    out.sum().backward()
+    assert np.array_equal(enc.point_labels.grad, [[1.0] * 8, [2.0] * 8])
