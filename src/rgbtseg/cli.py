@@ -2,7 +2,8 @@
 gradient verification, and the parameter ledger.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 numeric abort (NaN during training).
+3 numeric abort (a NaN or Inf in training, or in the forward pass of infer or
+eval).
 """
 
 from __future__ import annotations
@@ -143,21 +144,23 @@ def cmd_eval(args) -> int:
     results = evaluate(model, vocab, samples, cfg.train.ignore_label)
 
     name_w = max(len(n) for n in vocab.names)
-    header = f"{'split':<10} " + " ".join(f"{n:>{name_w}}" for n in vocab.names) + "    mIoU"
-    print(header)
+    lines = [f"{'split':<10} " + " ".join(f"{n:>{name_w}}" for n in vocab.names)
+             + "    mIoU"]
     doc = {}
     for split, res in results.items():
         cells = " ".join(
             f"{'  absent':>{name_w}}" if np.isnan(v) else f"{v:>{name_w}.4f}"
             for v in res.per_class)
-        print(f"{split:<10} {cells}  {res.miou:.4f}")
+        lines.append(f"{split:<10} {cells}  {res.miou:.4f}")
         doc[split] = {
             "per_class": {n: (None if np.isnan(v) else v)
                           for n, v in zip(vocab.names, res.per_class)},
             "miou": res.miou,
             "num_samples": res.num_samples,
         }
+    # write first, so a failed write leaves no table on stdout
     Path(args.out).write_text(json.dumps(doc, indent=1))
+    print("\n".join(lines))
     return 0
 
 

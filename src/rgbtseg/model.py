@@ -16,7 +16,7 @@ from .decoder import DecoderOutputs, MaskDecoder
 from .encoder import RgbtEncoder
 from .params import ParamRegistry
 from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
-from .tensor import ShapeError, Tensor
+from .tensor import NumericError, ShapeError, Tensor, no_grad
 
 
 class RgbtSegModel:
@@ -44,9 +44,20 @@ class RgbtSegModel:
 
     def predict(self, rgb, th, vocab: ClassVocabulary,
                 points: PointPrompt | None = None) -> np.ndarray:
-        """Hard label map [..., H, W] (argmax over class logits)."""
-        out = self.forward(rgb, th, vocab, points)
-        return np.argmax(out.logits.data, axis=-1).astype(np.int64)
+        """Hard label map [..., H, W] (argmax over class logits).
+
+        The forward runs without a tape and its logits are checked once. On a
+        non-finite value the same forward is replayed with the tape on, whose
+        per-op check raises ``NumericError`` naming the op that produced it.
+        """
+        with no_grad():
+            logits = self.forward(rgb, th, vocab, points).logits.data
+        if not np.isfinite(logits).all():
+            self.forward(rgb, th, vocab, points)
+            # the replay is the same arithmetic and raises first; never
+            # return labels taken from non-finite logits
+            raise NumericError("non-finite value produced by the forward pass")
+        return np.argmax(logits, axis=-1).astype(np.int64)
 
     def state_dict(self):
         return self.registry.state_dict()

@@ -77,26 +77,34 @@ def load_text_embeddings(path) -> ClassVocabulary:
             raise VocabularyFormatError(f"malformed embedding file: {e}") from e
     if not isinstance(doc, dict) or "dim" not in doc or "classes" not in doc:
         raise VocabularyFormatError("embedding file needs 'dim' and 'classes' fields")
-    dim = int(doc["dim"])
-    classes = doc["classes"]
+    dim, classes = doc["dim"], doc["classes"]
+    if type(dim) is not int or dim <= 0:
+        raise VocabularyFormatError(f"embedding 'dim' must be a positive integer, "
+                                    f"got {dim!r}")
+    if not isinstance(classes, list):
+        raise VocabularyFormatError("embedding 'classes' must be a list")
     if not classes:
         raise VocabularyFormatError("embedding file lists no classes")
     names, rows = [], []
     for entry in classes:
-        name = entry.get("name")
-        emb = entry.get("embedding")
-        if not name or emb is None:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and entry["name"] and isinstance(entry.get("embedding"), list)):
             raise VocabularyFormatError(f"bad class entry: {entry!r}")
+        name, emb = entry["name"], entry["embedding"]
         if len(emb) != dim:
             raise VocabularyFormatError(
                 f"class '{name}' has dim {len(emb)}, expected {dim}"
             )
         if name in names:
             raise VocabularyFormatError(f"duplicate class name '{name}'")
+        if not all(isinstance(x, (int, float)) for x in emb):
+            raise VocabularyFormatError(
+                f"class '{name}' embedding is not a list of numbers")
         v = np.asarray(emb, dtype=np.float64)
         norm = np.linalg.norm(v)
-        if norm == 0:
-            raise VocabularyFormatError(f"class '{name}' has a zero embedding")
+        if norm == 0 or not np.isfinite(norm):
+            raise VocabularyFormatError(
+                f"class '{name}' has a zero or non-finite embedding")
         names.append(name)
         rows.append(v / norm)
     return ClassVocabulary(names, np.stack(rows), dim)

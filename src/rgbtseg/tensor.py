@@ -9,10 +9,15 @@ gradient only if that operand requires one, so frozen weights cost no
 gradient arithmetic.
 
 Non-finite results abort immediately with the name of the offending op so a
-NaN can never silently poison a training run.
+NaN can never silently poison a training run. Inside ``no_grad()`` ops record
+no parents or backward closures and skip that per-op check; the caller checks
+the final result once (``RgbtSegModel.predict`` does, and replays the forward
+with the tape on to name the op).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy import special
@@ -30,6 +35,24 @@ class NumericError(FloatingPointError):
 
 class GradCheckError(RuntimeError):
     """Raised on gradcheck precondition violations (bad eps, nondeterminism)."""
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape and skip the per-op finite check inside the block.
+
+    The switch is process-wide, so the block must not overlap a taped forward
+    in another thread.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -65,11 +88,12 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        _check_finite(data, op)
+        if _grad_enabled:
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rgbtseg import cli
-from rgbtseg.checkpoint import load_checkpoint
+from rgbtseg.checkpoint import load_checkpoint, save_checkpoint
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.pnm import read_pgm
@@ -264,6 +264,56 @@ def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
     args = argv(short_run, dataset, tmp_path)
     capsys.readouterr()
     assert cli.main(args) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(classes=[5]),
+    lambda doc: doc.update(dim=None),
+    lambda doc: doc.update(classes=5),
+    lambda doc: doc["classes"][0].update(embedding=3),
+    lambda doc: doc["classes"][0]["embedding"].__setitem__(0, {}),
+    lambda doc: doc["classes"][0]["embedding"].__setitem__(0, float("nan")),
+], ids=["entry_not_object", "dim_null", "classes_not_list", "embedding_not_list",
+        "embedding_item_not_number", "embedding_nan"])
+def test_malformed_classes_file_exits_2_with_one_line(short_run, dataset, tmp_path,
+                                                      capsys, edit):
+    doc = json.loads((short_run / "classes.json").read_text())
+    edit(doc)
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
+                     "--data", str(dataset), "--classes", str(classes),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_nan_parameter_exits_3_naming_the_op(short_run, dataset, tmp_path, capsys,
+                                             command):
+    run = tmp_path / "nan_run"
+    run.mkdir()
+    for name in ("config.json", "classes.json"):
+        (run / name).write_bytes((short_run / name).read_bytes())
+    state = load_checkpoint(short_run / "checkpoint.tseg")
+    name = next(n for n, (_, frozen) in state.items()
+                if n.startswith("encoder.") and not frozen)
+    state[name][0].flat[0] = np.nan
+    save_checkpoint(state, run / "checkpoint.tseg")
+    args = {"infer": ["--rgb", str(dataset / "sample_0000_rgb.ppm"),
+                      "--thermal", str(dataset / "sample_0000_th.pgm"),
+                      "--out", str(tmp_path / "m.pgm")],
+            "eval": ["--data", str(dataset), "--out", str(tmp_path / "r.json")]}
+    capsys.readouterr()
+    assert cli.main([command, "--ckpt", str(run / "checkpoint.tseg")]
+                    + args[command]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numeric abort: non-finite value produced by op '")
+    assert len(err.splitlines()) == 1
+    assert out == ""
