@@ -2,8 +2,9 @@
 gradient verification, and the parameter ledger.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 numeric abort (a NaN or Inf in training, or in the forward pass of infer or
-eval).
+3 numeric abort (a NaN or Inf in a training step's loss or gradients, or in
+the forward pass of infer or eval; the message names the op, or the parameter
+when only its gradient is non-finite).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def cmd_train(args) -> int:
         cfg.train.steps = args.steps
     samples, class_names = load_dataset(args.data)
     train_samples = [s for s in samples if s.split == "train"]
-    if not train_samples:
+    if samples and not train_samples:
         print("warning: no samples tagged 'train'; training on all samples",
               file=sys.stderr)
         train_samples = samples
@@ -99,6 +100,7 @@ def cmd_train(args) -> int:
     if vocab.num_classes != cfg.model.num_classes:
         cfg.model.num_classes = vocab.num_classes
         cfg.validate()
+    cfg.train.check_ignore_label(vocab.num_classes)
     model = RgbtSegModel(cfg)
 
     out = Path(args.out)

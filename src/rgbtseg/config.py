@@ -4,7 +4,8 @@ ablation switches, with JSON round-trip and eager validation."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 
 class ConfigValidationError(ValueError):
@@ -44,6 +45,35 @@ class TrainConfig:
     seed: int = 0
     cosine_lr: bool = False
 
+    def check_ignore_label(self, num_classes: int) -> None:
+        """Reject an ignore label that is one of the ``num_classes`` class
+        indices: it would silently drop that class from the loss and metric."""
+        if 0 <= self.ignore_label < num_classes:
+            raise ConfigValidationError(
+                f"ignore_label {self.ignore_label} is a class index; with "
+                f"{num_classes} classes it must lie outside [0, {num_classes})")
+
+
+_KINDS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+}
+
+
+def _check_types(prefix: str, cfg) -> None:
+    """Each bool, int or float field must hold its annotated type; a float
+    field also takes an int, and a bool is neither an int nor a float."""
+    for f in fields(cfg):
+        kind, _, optional = f.type.partition(" | ")  # annotations are strings here
+        value = getattr(cfg, f.name)
+        if kind not in _KINDS or (value is None and optional == "None"):
+            continue
+        if not _KINDS[kind](value):
+            raise ConfigValidationError(
+                f"{prefix}{f.name} must be {'an' if kind == 'int' else 'a'} "
+                f"{kind}, got {value!r}")
+
 
 @dataclass
 class RunConfig:
@@ -52,6 +82,9 @@ class RunConfig:
     backbone_seed: int = 1234
 
     def validate(self) -> None:
+        _check_types("", self)
+        _check_types("model.", self.model)
+        _check_types("train.", self.train)
         m = self.model
         positive = {
             "image_size": m.image_size, "patch": m.patch, "d": m.d,

@@ -63,11 +63,7 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"linear expects last dim {self.d_in}, got {x.shape}")
-        lead = x.shape[:-1]
-        y = T.matmul(x.reshape(-1, self.d_in), self.W)
-        if self.b is not None:
-            y = y + self.b
-        return y.reshape(*lead, self.d_out)
+        return T.linear(x, self.W, self.b)
 
 
 class LayerNorm:
@@ -80,10 +76,7 @@ class LayerNorm:
         self.beta = reg.register(f"{name}.beta", Tensor(np.zeros(d)), frozen)
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered * (var + self.eps) ** -0.5 * self.gamma + self.beta
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class MultiHeadAttention:
@@ -101,9 +94,8 @@ class MultiHeadAttention:
                  lora_rank: int | None = None, lora_alpha: float | None = None):
         if d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by heads {heads}")
-        self.d, self.heads = d, heads
-        self.head_dim = d // heads
-        self.scale = 1.0 / np.sqrt(self.head_dim)
+        self.heads = heads
+        self.scale = 1.0 / np.sqrt(d // heads)
 
         # Independent child generators per projection: base weights must not
         # depend on whether a sibling projection carries an adapter.
@@ -121,18 +113,8 @@ class MultiHeadAttention:
         self.out_proj = Linear(reg, f"{name}.out", d, d, ro, frozen)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        h, hd = self.heads, self.head_dim
-
-        def split_heads(x: Tensor) -> Tensor:  # [..., n, d] -> [..., h, n, hd]
-            return _permute_trailing(x.reshape(*x.shape[:-1], h, hd), 1, 0, 2)
-
-        qh = split_heads(self.q_proj(q))
-        kh = split_heads(self.k_proj(k))
-        vh = split_heads(self.v_proj(v))
-        attn = T.softmax(T.matmul(qh, _permute_trailing(kh, 0, 2, 1)) * self.scale,
-                         axis=-1)
-        out = _permute_trailing(T.matmul(attn, vh), 1, 0, 2)
-        return self.out_proj(out.reshape(*out.shape[:-2], self.d))
+        return self.out_proj(T.attention(self.q_proj(q), self.k_proj(k),
+                                         self.v_proj(v), self.heads, self.scale))
 
 
 class SEBlock:
@@ -183,8 +165,7 @@ class PatchEmbed:
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         hp, wp = h // p, w // p
         x = _permute_trailing(img.reshape(*lead, hp, p, wp, p, c), 0, 2, 1, 3, 4)
-        x = x.reshape(-1, p * p * c)
-        return (T.matmul(x, self.W) + self.b).reshape(*lead, hp, wp, self.d)
+        return T.linear(x.reshape(*lead, hp, wp, p * p * c), self.W, self.b)
 
 
 class Mlp:
@@ -235,8 +216,8 @@ class ConvTranspose2x2:
         self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
 
     def __call__(self, x: Tensor) -> Tensor:
-        *lead, h, w, d = x.shape
-        y = T.matmul(x.reshape(-1, d), self.W).reshape(*lead, h, w, 2, 2, self.d_out)
+        *lead, h, w, _ = x.shape
+        y = T.linear(x, self.W).reshape(*lead, h, w, 2, 2, self.d_out)
         y = _permute_trailing(y, 0, 2, 1, 3, 4).reshape(*lead, 2 * h, 2 * w, self.d_out)
         return y + self.b
 

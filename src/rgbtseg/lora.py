@@ -49,15 +49,7 @@ class LoraLinear:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d:
             raise ShapeError(f"lora layer expects last dim {self.d}, got {x.shape}")
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, self.d)
-        base = T.matmul(flat, self.W0)
-        update = T.matmul(T.matmul(flat, self.A.transpose(1, 0)),
-                          self.B.transpose(1, 0))
-        out = base + update * self.scale
-        if self.b0 is not None:
-            out = out + self.b0
-        return out.reshape(*lead, self.d)
+        return T.lora_linear(x, self.W0, self.b0, self.A, self.B, self.scale)
 
     def merged_weight(self) -> np.ndarray:
         """Dense W0 + scale * (B A), in the stored [d_in, d_out] layout."""

@@ -4,15 +4,30 @@ Every value flowing through the model is a Tensor wrapping a float64 (or
 float32) numpy array. Ops build an implicit graph through parent references;
 calling ``backward()`` on a scalar walks the graph in reverse topological
 order exactly once and deposits gradients on the leaf tensors that requested
-them. The graph is released after backward. Binary ops compute an operand's
-gradient only if that operand requires one, so frozen weights cost no
-gradient arithmetic.
+them. The graph is released after backward. Ops compute an operand's gradient
+only if that operand requires one, so frozen weights cost no gradient
+arithmetic.
 
-Non-finite results abort immediately with the name of the offending op so a
-NaN can never silently poison a training run. Inside ``no_grad()`` ops record
-no parents or backward closures and skip that per-op check; the caller checks
-the final result once (``RgbtSegModel.predict`` does, and replays the forward
-with the tape on to name the op).
+Besides the elementary ops there are fused nodes for the model's hot blocks:
+``linear``, ``lora_linear``, ``layer_norm``, the multi-head ``attention``
+core and the segmentation loss ``ce_dice``. Each is one tape node with a
+hand-written backward that keeps only what that backward reads. Each layer
+node's forward runs the same numpy ops in the same order as the elementary-op
+composition it replaces, so the model's forward values are bitwise unchanged;
+the loss node reduces over a class-major layout, so a loss value may differ
+from that composition's by rounding.
+
+By default every op checks its result and raises ``NumericError`` naming the
+op on a NaN or Inf. Two switches skip that per-op check; the caller checks the
+final result once and, on a non-finite value, replays the same ops with the
+check on to name the op:
+
+- inside ``no_grad()`` ops also record no parents or backward closures
+  (``RgbtSegModel.predict``);
+- inside ``unchecked()`` the tape is kept, so ``backward()`` still works
+  (``train.train``, which also checks every trainable gradient).
+
+Backward closures are never checked per op.
 """
 
 from __future__ import annotations
@@ -38,21 +53,31 @@ class GradCheckError(RuntimeError):
 
 
 _grad_enabled = True
+_check_enabled = True
 
 
 @contextmanager
-def no_grad():
-    """Build no tape and skip the per-op finite check inside the block.
-
-    The switch is process-wide, so the block must not overlap a taped forward
-    in another thread.
-    """
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+def _mode(grad: bool, check: bool):
+    """Turn the tape and/or the per-op finite check off inside the block; an
+    inner block never turns either back on. The switches are process-wide, so
+    the block must not overlap a forward in another thread."""
+    global _grad_enabled, _check_enabled
+    previous = _grad_enabled, _check_enabled
+    _grad_enabled, _check_enabled = grad and _grad_enabled, check and _check_enabled
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled, _check_enabled = previous
+
+
+def no_grad():
+    """Build no tape and skip the per-op finite check inside the block."""
+    return _mode(grad=False, check=False)
+
+
+def unchecked():
+    """Keep the tape but skip the per-op finite check inside the block."""
+    return _mode(grad=True, check=False)
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -88,7 +113,7 @@ class Tensor:
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        if _grad_enabled:
+        if _check_enabled:
             _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -424,3 +449,166 @@ def concat(tensors, axis: int = 0) -> Tensor:
             acc(t, g[tuple(idx)])
 
     return Tensor._from_op(data, tuple(tensors), backward, "concat")
+
+
+# -- fused nodes --------------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` on the last axis: [..., d_in] -> [..., d_out]."""
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    data = np.matmul(x2, w.data)
+    if b is not None:
+        data = data + b.data
+
+    def backward(g, acc):
+        g = g.reshape(-1, d_out)
+        if x.requires_grad:
+            acc(x, np.matmul(g, w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            acc(w, np.matmul(x2.T, g))
+        if b is not None and b.requires_grad:
+            acc(b, g.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._from_op(data.reshape(*x.shape[:-1], d_out), parents, backward,
+                           "linear")
+
+
+def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor, b: Tensor,
+                scale: float) -> Tensor:
+    """``x @ w0 + scale * (x @ aᵀ) @ bᵀ + b0`` on the last axis: a projection
+    with a rank-r update, ``a`` [r, d_in] and ``b`` [d_out, r]."""
+    d_in, d_out = w0.shape
+    x2 = x.data.reshape(-1, d_in)
+    xa = np.matmul(x2, a.data.T)
+    data = np.matmul(x2, w0.data) + np.matmul(xa, b.data.T) * scale
+    if b0 is not None:
+        data = data + b0.data
+
+    def backward(g, acc):
+        g = g.reshape(-1, d_out)
+        gu = g * scale
+        gxa = np.matmul(gu, b.data)
+        if x.requires_grad:
+            acc(x, (np.matmul(g, w0.data.T) + np.matmul(gxa, a.data)).reshape(x.shape))
+        if w0.requires_grad:
+            acc(w0, np.matmul(x2.T, g))
+        if b0 is not None and b0.requires_grad:
+            acc(b0, g.sum(axis=0))
+        if a.requires_grad:
+            acc(a, np.matmul(x2.T, gxa).T)
+        if b.requires_grad:
+            acc(b, np.matmul(xa.T, gu).T)
+
+    parents = (x, w0, a, b) if b0 is None else (x, w0, b0, a, b)
+    return Tensor._from_op(data.reshape(*x.shape[:-1], d_out), parents, backward,
+                           "lora_linear")
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    ``gamma`` and shift by ``beta``."""
+    d = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    data = xhat * gamma.data + beta.data
+
+    def backward(g, acc):
+        if x.requires_grad:
+            gx = g * gamma.data
+            acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        if gamma.requires_grad:
+            acc(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            acc(beta, g.reshape(-1, d).sum(axis=0))
+
+    return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """Multi-head ``softmax(q kᵀ · scale) v`` of projected queries [..., nq, d]
+    and keys/values [..., nk, d]: the last axis splits into ``heads`` heads,
+    which merge back in the output [..., nq, d]. Leading axes broadcast, so one
+    unbatched query stack can attend over a batch."""
+
+    def split(t):  # [..., n, d] -> [..., heads, n, d / heads]
+        return np.swapaxes(t.reshape(*t.shape[:-1], heads, -1), -3, -2)
+
+    def merge(t, like):  # [..., heads, n, d / heads] -> like.shape
+        return np.swapaxes(t, -3, -2).reshape(like.shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = np.swapaxes(np.matmul(attn, vh), -3, -2)
+    data = out.reshape(*out.shape[:-2], -1)
+
+    def backward(g, acc):
+        go = split(g)
+        if v.requires_grad:
+            acc(v, merge(_unbroadcast(np.matmul(np.swapaxes(attn, -1, -2), go),
+                                      vh.shape), v))
+        if q.requires_grad or k.requires_grad:
+            ga = np.matmul(go, np.swapaxes(vh, -1, -2))
+            gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                acc(q, merge(_unbroadcast(np.matmul(gs, kh), qh.shape), q))
+            if k.requires_grad:
+                acc(k, merge(_unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qh),
+                                          kh.shape), k))
+
+    return Tensor._from_op(data, (q, k, v), backward, "attention")
+
+
+def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
+            w_ce: float, w_dice: float, smooth: float) -> Tensor:
+    """``w_ce * CE + w_dice * Dice`` of the logits [..., C] of S images of N
+    pixels each, against class-major one-hot labels ``onehot`` [C, S, N] that
+    are 0 wherever the 0/1 mask ``valid`` [S, N] is.
+
+    Per image, CE is the mean over valid pixels of -log softmax(logits)[label]
+    and Dice is 1 - the class mean of (2 I + smooth) / (U + smooth), where I
+    and U sum p * onehot and p + onehot over the valid pixels. Both terms are
+    then averaged over the S images; an image without valid pixels adds 0. A
+    zero weight skips its term. The class axis runs first so that every class
+    reduction is an elementwise op over [S, N] planes.
+    """
+    c = logits.shape[-1]
+    s, n = valid.shape
+    x = np.ascontiguousarray(np.moveaxis(logits.data.reshape(s, n, c), -1, 0))
+    xmax = x.max(axis=0)
+    e = np.exp(x - xmax)
+    total = e.sum(axis=0)
+    p = e / total
+    n_valid = valid.sum(axis=-1)
+    weight = (n_valid > 0) / s
+    ce = dice = 0.0
+    if w_ce:
+        per_pixel = (np.log(total) + xmax - (x * onehot).sum(axis=0)) * valid
+        ce = (per_pixel.sum(axis=-1) * (weight / np.maximum(n_valid, 1))).sum()
+    if w_dice:
+        pv = p * valid
+        denom = pv.sum(axis=-1) + onehot.sum(axis=-1) + smooth
+        coef = ((pv * onehot).sum(axis=-1) * 2.0 + smooth) / denom
+        dice = ((1.0 - coef.mean(axis=0)) * weight).sum()
+    data = np.asarray(w_ce * ce + w_dice * dice)
+
+    def backward(g, acc):
+        gx = np.zeros_like(x)
+        if w_ce:
+            gx += (p - onehot) * (valid * (w_ce * weight / np.maximum(n_valid, 1))[:, None])
+        if w_dice:
+            # d Dice / d p[c, s, n] at a valid pixel: -w_s (2 y - coef_cs) / (C denom_cs)
+            gp = ((2.0 * onehot - coef[..., None])
+                  * (-w_dice * weight / (c * denom))[..., None] * valid)
+            gx += p * (gp - (gp * p).sum(axis=0))
+        acc(logits, np.moveaxis(gx * g, 0, -1).reshape(logits.shape))
+
+    return Tensor._from_op(data, (logits,), backward, "ce_dice")

@@ -9,6 +9,7 @@ objective the mean of the per-sample losses.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,12 @@ from .losses import total_loss
 from .metrics import IouAccumulator
 from .model import RgbtSegModel
 from .optim import AdamW
+from .params import ParamRegistry
 from .prompts import ClassVocabulary
+from .tensor import NumericError, Tensor, unchecked
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 @dataclass
@@ -30,13 +36,71 @@ class StepRecord:
     miou: float
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed memory in the heap for the next training step.
+
+    By default glibc serves large arrays with fresh mmaps and trims the heap
+    top, so each step gives its buffers back to the kernel and faults the
+    same pages in again. Fixed thresholds (mmap above 64 MiB, trim above
+    128 MiB) stop that. Not done at import: inference gains nothing and keeps
+    a larger heap. Skipped where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 64 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+def _batch_loss(model: RgbtSegModel, vocab: ClassVocabulary,
+                groups: list[list[RgbtSample]], cfg: TrainConfig,
+                acc: IouAccumulator) -> Tensor:
+    """The batch loss: one forward and loss per group of equally sized samples."""
+    loss = None
+    for group in groups:
+        labels = np.stack([s.labels for s in group])
+        out = model.forward(np.stack([s.rgb for s in group]),
+                            np.stack([s.thermal for s in group]), vocab)
+        term = total_loss(out.logits, labels, cfg.lambda_dice,
+                          cfg.ignore_label, cfg.dice_smooth)
+        term = term * (len(group) / cfg.batch)
+        loss = term if loss is None else loss + term
+        acc.update(np.argmax(out.logits.data, axis=-1), labels)
+    return loss
+
+
+def _nonfinite_grad(registry: ParamRegistry) -> str | None:
+    """The name of the first trainable parameter with a non-finite gradient."""
+    for name, p in registry.trainable():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return name
+    return None
+
+
 def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample],
           cfg: TrainConfig, log_fn=None) -> list[StepRecord]:
     """Seeded training run; returns one record per step (loss, batch mIoU).
 
-    Batches are drawn by epoch-wise seeded shuffles. A NaN anywhere in the
-    forward or backward pass raises NumericError and aborts the run.
+    Batches are drawn by epoch-wise seeded shuffles. Each step runs its
+    forward and backward without the per-op finite check, then checks the loss
+    and every trainable gradient once, before the optimizer moves anything. On
+    a non-finite value it clears the gradients and replays the step's forward
+    with the per-op check on, which is exact because no parameter has moved:
+    the replay raises ``NumericError`` naming the op that produced the value,
+    and when the forward is finite and only a gradient is not, the error
+    names that parameter. Either way the parameters and the optimizer state
+    are left as the previous step left them.
+
+    Raises ``ValueError`` for an empty ``samples`` or an ignore label that is
+    one of the vocabulary's class indices.
     """
+    if not samples:
+        raise ValueError("no training samples")
+    cfg.check_ignore_label(vocab.num_classes)
+    _keep_freed_heap()
     opt = AdamW(model.registry, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     order: list[int] = []
@@ -51,25 +115,25 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         if cfg.cosine_lr:
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, cfg.steps)))
 
-        groups: dict[tuple, list[RgbtSample]] = {}
+        by_shape: dict[tuple, list[RgbtSample]] = {}
         for i in idx:
             s = samples[i]
-            groups.setdefault((s.rgb.shape, s.thermal.shape, s.labels.shape),
-                              []).append(s)
+            by_shape.setdefault((s.rgb.shape, s.thermal.shape, s.labels.shape),
+                                []).append(s)
+        groups = list(by_shape.values())
 
         acc = IouAccumulator(num_classes, cfg.ignore_label)
-        loss = None
-        for group in groups.values():
-            labels = np.stack([s.labels for s in group])
-            out = model.forward(np.stack([s.rgb for s in group]),
-                                np.stack([s.thermal for s in group]), vocab)
-            term = total_loss(out.logits, labels, cfg.lambda_dice,
-                              cfg.ignore_label, cfg.dice_smooth)
-            term = term * (len(group) / cfg.batch)
-            loss = term if loss is None else loss + term
-            acc.update(np.argmax(out.logits.data, axis=-1), labels)
         opt.zero_grad()
-        loss.backward()
+        with unchecked():
+            loss = _batch_loss(model, vocab, groups, cfg, acc)
+            loss.backward()
+        bad = _nonfinite_grad(model.registry)
+        if bad is not None or not np.isfinite(loss.data):
+            opt.zero_grad()
+            # the replay's per-op check raises at a non-finite forward value
+            _batch_loss(model, vocab, groups, cfg,
+                        IouAccumulator(num_classes, cfg.ignore_label))
+            raise NumericError(f"non-finite gradient on parameter '{bad}'")
         opt.step()
         opt.zero_grad()
 

@@ -17,7 +17,7 @@ from .gradcheck import GradCheckReport, gradcheck
 from .layers import (ConvTranspose2x2, LayerNorm, Linear, MultiHeadAttention,
                      PatchEmbed, SEBlock, TransformerBlock, bilinear_resize)
 from .lora import LoraLinear
-from .losses import cross_entropy, dice_loss
+from .losses import cross_entropy, dice_loss, total_loss
 from .model import RgbtSegModel
 from .params import ParamRegistry
 from .prompts import ClassVocabulary
@@ -142,12 +142,21 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
         yield check(f"cross_entropy[{si}]", lambda t: cross_entropy(t, labels), logits)
         yield check(f"dice_loss[{si}]", lambda t: dice_loss(t, labels), logits)
 
+        reg, lrng = fresh()
+        lin = Linear(reg, "lin", d, d // 2, lrng)
+        x = _rand(srng, 2, 3, d)
+        yield check(f"linear[{si}]", _scalarizer(srng, lin, x), x, lin.W, lin.b)
+
+        # a batch of two with ignored pixels
+        labels = srng.integers(0, 4, size=(2, 3, 3))
+        labels[0, 0] = 255
+        logits = _rand(srng, 2, 3, 3, 4)
+        yield check(f"total_loss[{si}]", lambda t: total_loss(t, labels, 0.5), logits)
+
 
 def full_model_check(seed: int = 0, tol: float = 1e-4,
                      max_coords_per_input: int = 6) -> GradCheckReport:
     """End-to-end gradient check of total_loss through encoder and decoder."""
-    from .losses import total_loss
-
     cfg = RunConfig()
     cfg.validate()
     model = RgbtSegModel(cfg)

@@ -1,6 +1,10 @@
 """Operator surface: commands, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from rgbtseg import cli
 from rgbtseg.checkpoint import load_checkpoint, save_checkpoint
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
+from rgbtseg.optim import AdamW
 from rgbtseg.pnm import read_pgm
 from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 
@@ -176,6 +181,57 @@ def test_bad_config_exits_2(tmp_path, dataset):
     path.write_text(json.dumps({"model": {"patch": 7}}))
     assert cli.main(["train", "--data", str(dataset),
                      "--out", str(tmp_path / "o"), "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"train": {"batch": 2.5}}, "train.batch must be an int, got 2.5"),
+    ({"model": {"d": 64.0}}, "model.d must be an int, got 64.0"),
+    ({"model": {"heads": True}}, "model.heads must be an int, got True"),
+    ({"train": {"steps": 1.5}}, "train.steps must be an int, got 1.5"),
+    ({"train": {"ignore_label": 2}},
+     "ignore_label 2 is a class index; with 4 classes it must lie outside [0, 4)"),
+], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range"])
+def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(dataset), "--out", str(tmp_path / "o"),
+                     "--config", str(path), "--steps", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_train_on_empty_manifest_exits_2_with_one_line(tmp_path):
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"classes": ["a", "b"],
+                                                    "samples": []}))
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rgbtseg.cli", "train", "--data",
+                           str(data), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: no training samples\n"
+
+
+def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,
+                                                    monkeypatch):
+    step = AdamW.step
+
+    def poisoning_step(self):
+        step(self)
+        if self.t == 2:
+            self.registry.get("encoder.thermal_embed.W").data[0, 0] = np.nan
+
+    monkeypatch.setattr(AdamW, "step", poisoning_step)
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(dataset), "--out", str(tmp_path / "o"),
+                     "--steps", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric abort: non-finite value produced by op 'linear'\n"
 
 
 def test_print_config_round_trips(capsys):
