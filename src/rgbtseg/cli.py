@@ -69,8 +69,11 @@ def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary
 
 
 def cmd_gen_data(args) -> int:
-    if args.size % 8 != 0:
-        raise UsageError(f"--size {args.size} must be divisible by the patch size 8")
+    if args.n < 1:
+        raise UsageError(f"--n {args.n} must be at least 1")
+    if args.size < 8 or args.size % 8 != 0:
+        raise UsageError(f"--size {args.size} must be a positive multiple of the "
+                         "patch size 8")
     samples = gen_synthetic(args.n, (args.size, args.size), args.seed,
                             split=args.split)
     manifest = save_dataset(samples, Path(args.out))
@@ -89,8 +92,10 @@ def cmd_train(args) -> int:
     if args.steps is not None:
         cfg.train.steps = args.steps
     samples, class_names = load_dataset(args.data)
+    if not samples:  # before anything is written to --out
+        raise UsageError("no training samples")
     train_samples = [s for s in samples if s.split == "train"]
-    if samples and not train_samples:
+    if not train_samples:
         print("warning: no samples tagged 'train'; training on all samples",
               file=sys.stderr)
         train_samples = samples

@@ -4,15 +4,27 @@
 (f(x+eps*e) - f(x-eps*e)) / (2*eps) per coordinate. For large inputs a seeded
 subset of coordinates can be sampled to keep runtime bounded; the comparison
 itself is unchanged.
+
+Only the first evaluation of ``f`` builds a tape and checks every op for NaN
+and Inf, because ``backward()`` runs on it. Every other evaluation (the
+determinism re-evaluation and the two per coordinate) runs under
+``tensor.no_grad()`` and checks its scalar once; on a non-finite value it
+replays ``f`` with the tape and the per-op check on, so the ``NumericError``
+names the op. The determinism check compares a tape-free value with the taped
+one bitwise, so it also pins that the two kinds of forward agree.
+
+A non-finite analytic or numeric derivative scores an error of ``inf``, so
+the check fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GradCheckError, Tensor
+from .tensor import GradCheckError, NumericError, Tensor, no_grad
 
 
 @dataclass
@@ -26,7 +38,22 @@ class GradCheckReport:
 
 
 def _rel_err(analytic: float, numeric: float) -> float:
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+
+
+def _value(f, inputs) -> float:
+    """``f(*inputs)`` without a tape, as a finite float."""
+    with no_grad():
+        value = f(*inputs).item()
+    if not math.isfinite(value):
+        # the per-op check of the taped replay raises first and names the op
+        if not math.isfinite(f(*inputs).item()):
+            raise NumericError("non-finite value returned by f")
+        raise GradCheckError("f is not deterministic: a tape-free evaluation "
+                             "is non-finite, its taped replay finite")
+    return value
 
 
 def gradcheck(
@@ -41,7 +68,8 @@ def gradcheck(
 
     ``inputs`` is a Tensor or a list of Tensors; each gets ``requires_grad``
     forced on for the duration of the check. ``f`` must be deterministic;
-    a double-evaluation mismatch raises GradCheckError.
+    a double-evaluation mismatch raises GradCheckError. A non-finite value of
+    ``f`` at any evaluated point raises ``NumericError`` naming the op.
     """
     if eps <= 0:
         raise GradCheckError(f"eps must be positive, got {eps}")
@@ -57,8 +85,7 @@ def gradcheck(
         loss = f(*inputs)
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise GradCheckError("f must return a scalar Tensor")
-        loss_value = loss.item()
-        if f(*inputs).item() != loss_value:
+        if _value(f, inputs) != loss.item():
             raise GradCheckError("f is not deterministic: repeated evaluation differs")
         loss.backward()
         analytic = [
@@ -80,11 +107,13 @@ def gradcheck(
             input_err = 0.0
             for j in coords:
                 orig = flat[j]
-                flat[j] = orig + eps
-                fp = f(*inputs).item()
-                flat[j] = orig - eps
-                fm = f(*inputs).item()
-                flat[j] = orig
+                try:
+                    flat[j] = orig + eps
+                    fp = _value(f, inputs)
+                    flat[j] = orig - eps
+                    fm = _value(f, inputs)
+                finally:
+                    flat[j] = orig
                 numeric = (fp - fm) / (2.0 * eps)
                 err = _rel_err(analytic[i].reshape(-1)[j], numeric)
                 input_err = max(input_err, err)

@@ -23,7 +23,8 @@ final result once and, on a non-finite value, replays the same ops with the
 check on to name the op:
 
 - inside ``no_grad()`` ops also record no parents or backward closures
-  (``RgbtSegModel.predict``);
+  (``RgbtSegModel.predict``, and ``gradcheck`` for every evaluation of its
+  function except the one it backpropagates);
 - inside ``unchecked()`` the tape is kept, so ``backward()`` still works
   (``train.train``, which also checks every trainable gradient).
 
@@ -96,6 +97,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _selects_each_once(index) -> bool:
+    """Whether ``index`` reads no element twice, so its gradient can be
+    assigned instead of accumulated with the slow ``np.add.at``: every part is
+    a slice, an int or ``Ellipsis``, except at most one 1-D array of distinct
+    non-negative integers (a negative entry could alias a positive one)."""
+    arrays = 0
+    for part in index if isinstance(index, tuple) else (index,):
+        if part is Ellipsis or isinstance(part, slice) or (
+                isinstance(part, (int, np.integer)) and not isinstance(part, bool)):
+            continue
+        arr = np.asarray(part)
+        arrays += 1
+        if (arrays > 1 or arr.ndim != 1 or arr.dtype.kind not in "iu"
+                or arr.size == 0 or arr.min() < 0
+                or np.unique(arr).size != arr.size):
+            return False
+    return True
 
 
 class Tensor:
@@ -235,7 +255,10 @@ class Tensor:
 
         def backward(g, acc):
             full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, index, g)
+            if _selects_each_once(index):
+                full[index] = g
+            else:
+                np.add.at(full, index, g)
             acc(self, full)
 
         return Tensor._from_op(np.asarray(self.data[index]), (self,), backward, "index")

@@ -215,6 +215,7 @@ def test_train_on_empty_manifest_exits_2_with_one_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "error: no training samples\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,
@@ -313,8 +314,12 @@ def _three_class_vocab(tmp_path):
     (lambda run, data, tmp: ["gen-data", "--out", str(run / "config.json" / "ds"),
                              "--n", "1"],
      "Not a directory"),
+    (lambda run, data, tmp: ["gen-data", "--out", str(tmp / "ds"), "--n", "-1"],
+     "--n -1 must be at least 1"),
+    (lambda run, data, tmp: ["gen-data", "--out", str(tmp / "ds"), "--size", "0"],
+     "--size 0 must be a positive multiple of the patch size 8"),
 ], ids=["labels_out_of_range", "ckpt_is_dir", "out_is_dir", "points_too_short",
-        "gen_data_out_under_file"])
+        "gen_data_out_under_file", "gen_data_n_negative", "gen_data_size_zero"])
 def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
                                          argv, message):
     args = argv(short_run, dataset, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 
 from rgbtseg import tensor as T
 from rgbtseg.gradcheck import gradcheck
-from rgbtseg.tensor import GradCheckError, Tensor
+from rgbtseg.tensor import GradCheckError, NumericError, Tensor
 
 
 def test_passes_on_smooth_function():
@@ -48,3 +48,55 @@ def test_restores_requires_grad_flag():
     assert not x.requires_grad
     gradcheck(lambda t: (t * t).sum(), x)
     assert not x.requires_grad
+
+
+def test_nan_gradient_fails():
+    x = Tensor(np.random.default_rng(4).normal(size=(3,)))
+
+    def nan_grad(t):
+        out = (t * t).sum()
+        inner = out._backward
+        if inner is not None:  # only the taped evaluation has a backward
+            out._backward = lambda g, acc: inner(g * np.nan, acc)
+        return out
+
+    report = gradcheck(nan_grad, x)
+    assert not report.passed
+    assert report.max_rel_err == np.inf
+
+
+def test_f_runs_with_the_tape_once():
+    modes = []
+
+    def f(t):
+        modes.append(T._grad_enabled)
+        return (t * t).sum()
+
+    report = gradcheck(f, Tensor(np.ones(3)))
+    assert report.passed
+    # one taped evaluation, the determinism re-evaluation, two per coordinate
+    assert modes.count(True) == 1
+    assert len(modes) == 2 + 2 * 3
+
+
+def test_nonfinite_only_at_plus_eps_names_the_op():
+    eps = 1e-5
+    x = Tensor(np.zeros(2))
+
+    def f(t):  # log(eps/2 - t) is finite at t = 0 and t = -eps, NaN at t = eps
+        return T.log(Tensor(np.full(2, eps / 2)) - t).sum()
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite value produced by op 'log'"):
+            gradcheck(f, x, eps=eps)
+    assert np.array_equal(x.data, np.zeros(2))
+
+
+@pytest.mark.parametrize("tape_free_scale", [3.0, np.nan],
+                         ids=["finite", "nonfinite"])
+def test_f_differing_without_the_tape_rejected(tape_free_scale):
+    def f(t):
+        return (t * (2.0 if T._grad_enabled else tape_free_scale)).sum()
+
+    with pytest.raises(GradCheckError, match="not deterministic"):
+        gradcheck(f, Tensor(np.ones(3)))

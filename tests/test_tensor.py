@@ -141,3 +141,20 @@ def test_index_backward_accumulates_repeats():
     x = Tensor(np.arange(4.0), requires_grad=True)
     (x[np.array([0, 2, 0, 0])] * Tensor(np.array([1.0, 2.0, 3.0, 4.0]))).sum().backward()
     assert np.array_equal(x.grad, [8.0, 0.0, 2.0, 0.0])
+
+
+@pytest.mark.parametrize("index", [
+    (Ellipsis, np.array([2, 0, 3, 1])),
+    (slice(None), slice(1, None, 2), 1),
+    (1, slice(None), np.array([3, 1])),
+    (Ellipsis, np.array([3, -1])),
+    (Ellipsis, [0, 2, 0]),
+], ids=["permutation", "basic", "int_and_array", "negative_alias", "repeat"])
+def test_index_backward_equals_add_at(index):
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    r = rng.normal(size=x.data[index].shape)
+    (x[index] * Tensor(r)).sum().backward()
+    expected = np.zeros(x.shape)
+    np.add.at(expected, index, r)
+    assert np.array_equal(x.grad, expected)
