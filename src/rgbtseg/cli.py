@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,13 +200,16 @@ def cmd_infer(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    start = time.perf_counter()
     results, ok = run_suite(seed=args.seed)
+    seconds = time.perf_counter() - start
     worst = max(results, key=lambda r: r[1].max_rel_err)
     for name, rep in results:
         status = "ok" if rep.passed else "FAIL"
         print(f"{status:>4}  {name:<28} max_rel_err {rep.max_rel_err:.3e} "
               f"({rep.checked_coords} coords)")
     print(f"worst: {worst[0]} at {worst[1].max_rel_err:.3e}")
+    print(f"suite wall time: {seconds:.2f} s")
     return 0 if ok else 1
 
 

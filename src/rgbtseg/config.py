@@ -122,6 +122,13 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigValidationError(f"config must be an object, got {doc!r}")
+        for section in ("model", "train"):
+            if not isinstance(doc.get(section, {}), dict):
+                raise ConfigValidationError(
+                    f"config section '{section}' must be an object, "
+                    f"got {doc[section]!r}")
         known = {"model", "train", "backbone_seed"}
         unknown = set(doc) - known
         if unknown:

@@ -161,6 +161,8 @@ class PatchEmbed:
         p = self.patch
         if c != self.in_ch:
             raise ShapeError(f"expected {self.in_ch} channels, got {c}")
+        if h < p or w < p:
+            raise ShapeError(f"image {h}x{w} is smaller than patch size {p}")
         if h % p != 0 or w % p != 0:
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         hp, wp = h // p, w // p

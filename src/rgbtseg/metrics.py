@@ -76,5 +76,5 @@ class IouAccumulator:
     def iou(self) -> np.ndarray:
         return iou_from_counts(self.counts)
 
-    def miou(self, include_absent: bool = False) -> float:
-        return miou(self.iou(), include_absent)
+    def miou(self) -> float:
+        return miou(self.iou())

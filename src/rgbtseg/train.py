@@ -153,8 +153,8 @@ class SplitResult:
 
 
 def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
-             samples: list[RgbtSample], ignore_label: int = 255,
-             include_absent: bool = False) -> dict[str, SplitResult]:
+             samples: list[RgbtSample],
+             ignore_label: int = 255) -> dict[str, SplitResult]:
     """Per-split metric tables; splits come from the samples' tags, plus an
     'overall' row aggregating everything."""
     accs: dict[str, IouAccumulator] = {}
@@ -169,9 +169,8 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
         acc.update(pred, s.labels)
         counts[s.split] = counts.get(s.split, 0) + 1
     results = {
-        split: SplitResult(split, acc.iou(), acc.miou(include_absent), counts[split])
+        split: SplitResult(split, acc.iou(), acc.miou(), counts[split])
         for split, acc in accs.items()
     }
-    results["overall"] = SplitResult("overall", overall.iou(),
-                                     overall.miou(include_absent), n)
+    results["overall"] = SplitResult("overall", overall.iou(), overall.miou(), n)
     return results

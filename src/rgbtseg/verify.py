@@ -4,6 +4,13 @@ differences, plus the full encoder -> decoder -> loss composition.
 The full-model check jitters the zero-initialized parameters (LoRA B, fusion
 output convs) first; otherwise those paths would be checked at a point where
 both analytic and numeric gradients vanish identically.
+
+It checks its picked parameters in two groups: the encoder picks through the
+full forward, the decoder-side picks through the decoder and the loss alone,
+on one encoder output computed once. No encoder op reads a decoder or prompt
+parameter, so that output is the one every full forward of the second group
+would recompute, and the merged report is bitwise the report of a single
+check of the full forward over all picks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .lora import LoraLinear
 from .losses import cross_entropy, dice_loss, total_loss
 from .model import RgbtSegModel
 from .params import ParamRegistry
-from .prompts import ClassVocabulary
+from .prompts import ClassVocabulary, PointPrompt
 from .tensor import Tensor
 
 
@@ -154,9 +161,33 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
         yield check(f"total_loss[{si}]", lambda t: total_loss(t, labels, 0.5), logits)
 
 
-def full_model_check(seed: int = 0, tol: float = 1e-4,
-                     max_coords_per_input: int = 6) -> GradCheckReport:
-    """End-to-end gradient check of total_loss through encoder and decoder."""
+# the parameters the full-model check perturbs, in the order it checks them
+ENCODER_PICKS = (
+    "encoder.thermal_embed.W",
+    "encoder.dffm.0.conv_out.W",
+    "encoder.dffm.1.se.fc1.W",
+    "encoder.dffm.2.conv_prev.W",
+    "encoder.blocks.0.attn.q.lora.A",
+    "encoder.blocks.3.attn.v.lora.B",
+)
+DECODER_PICKS = (
+    "decoder.twoway.0.self_attn.q.lora.A",
+    "decoder.twoway.1.cross_t2i.v.lora.B",
+    "decoder.upscale.1.W",
+    "decoder.upscale.2.b",
+    "decoder.text_attn.W_Q",
+    "decoder.text_attn.W_K",
+    "decoder.text_attn.W_V",
+    "decoder.head.W",
+    "prompt.dense",
+    "decoder.tokens.mask",
+)
+
+
+def full_model_setup(seed: int = 0):
+    """The full-model check's point: the default model with its trainable
+    parameters jittered, and one synthetic sample with a 4-class vocabulary.
+    Returns (model, rgb, thermal, vocab, labels)."""
     cfg = RunConfig()
     cfg.validate()
     model = RgbtSegModel(cfg)
@@ -167,35 +198,55 @@ def full_model_check(seed: int = 0, tol: float = 1e-4,
 
     sample = gen_synthetic(1, (cfg.model.image_size,) * 2, seed=seed)[0]
     vocab = ClassVocabulary.from_names(["bg", "a", "b", "c"], cfg.model.d_t, seed)
-    rgb, th = Tensor(sample.rgb), Tensor(sample.thermal)
+    return model, Tensor(sample.rgb), Tensor(sample.thermal), vocab, sample.labels
 
-    picked = [
-        "encoder.thermal_embed.W",
-        "encoder.dffm.0.conv_out.W",
-        "encoder.dffm.1.se.fc1.W",
-        "encoder.dffm.2.conv_prev.W",
-        "encoder.blocks.0.attn.q.lora.A",
-        "encoder.blocks.3.attn.v.lora.B",
-        "decoder.twoway.0.self_attn.q.lora.A",
-        "decoder.twoway.1.cross_t2i.v.lora.B",
-        "decoder.upscale.1.W",
-        "decoder.upscale.2.b",
-        "decoder.text_attn.W_Q",
-        "decoder.text_attn.W_K",
-        "decoder.text_attn.W_V",
-        "decoder.head.W",
-        "prompt.dense",
-        "decoder.tokens.mask",
-    ]
-    inputs = [model.registry.get(n) for n in picked]
 
-    def f(*_):
-        out = model.forward(rgb, th, vocab)
-        return total_loss(out.logits, sample.labels)
+def full_model_check(seed: int = 0, tol: float = 1e-4,
+                     max_coords_per_input: int = 6) -> GradCheckReport:
+    """End-to-end gradient check of total_loss through encoder and decoder.
 
-    return gradcheck(f, inputs, tol=tol,
-                     max_coords_per_input=max_coords_per_input,
-                     rng=np.random.default_rng(seed + 1))
+    The encoder picks are checked through the full forward. The decoder-side
+    picks (``decoder.*``, ``prompt.dense``) are checked through the decoder
+    and the loss alone, on an encoder output computed once; the encoder reads
+    none of them, so every value and gradient is the one the full forward
+    gives. Both groups draw their coordinates from one RNG in pick order, and
+    the merged report equals, field for field, one ``gradcheck`` of the full
+    forward over all picks.
+    """
+    model, rgb, th, vocab, labels = full_model_setup(seed)
+    coord_rng = np.random.default_rng(seed + 1)
+
+    def check(f, picks):
+        return gradcheck(f, [model.registry.get(n) for n in picks], tol=tol,
+                         max_coords_per_input=max_coords_per_input, rng=coord_rng)
+
+    def full(*_):
+        return total_loss(model.forward(rgb, th, vocab).logits, labels)
+
+    encoder = check(full, ENCODER_PICKS)
+
+    # model.forward's decoder call, on a constant encoder output
+    size = rgb.shape[-3:-1]
+    with T.no_grad():
+        e_en = model.encoder.forward(rgb, th)
+    sparse = model.prompt_encoder.encode_points(PointPrompt([]), size)
+
+    def decoder_only(*_):
+        return total_loss(model.decoder.forward(e_en, vocab, sparse, size).logits,
+                          labels)
+
+    decoder = check(decoder_only, DECODER_PICKS)
+
+    per_input = encoder.per_input + decoder.per_input
+    max_err = max(per_input)
+    return GradCheckReport(
+        max_rel_err=max_err,
+        passed=max_err <= tol,
+        tol=tol,
+        checked_coords=encoder.checked_coords + decoder.checked_coords,
+        worst_input=per_input.index(max_err),
+        per_input=per_input,
+    )
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,7 +191,13 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"train": {"steps": 1.5}}, "train.steps must be an int, got 1.5"),
     ({"train": {"ignore_label": 2}},
      "ignore_label 2 is a class index; with 4 classes it must lie outside [0, 4)"),
-], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range"])
+    (None, "config must be an object, got None"),
+    ("abc", "config must be an object, got 'abc'"),
+    ([1], "config must be an object, got [1]"),
+    ({"model": 3}, "config section 'model' must be an object, got 3"),
+    ({"train": []}, "config section 'train' must be an object, got []"),
+], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range",
+        "top_null", "top_string", "top_list", "model_not_object", "train_not_object"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -243,7 +250,11 @@ def test_print_config_round_trips(capsys):
 
 def test_gradcheck_command_exits_0(capsys):
     assert cli.main(["gradcheck"]) == 0
-    assert "full_model" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "full_model" in out
+    *_, worst, wall = out.splitlines()
+    assert worst.startswith("worst: ")
+    assert re.fullmatch(r"suite wall time: \d+\.\d\d s", wall)
 
 
 @pytest.mark.parametrize("num_classes", [3, 5])
@@ -288,6 +299,13 @@ def test_manifest_malformed_sample_exits_2(dataset, tmp_path, capsys, edit, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _empty_image_pair(tmp_path):
+    """``--rgb``/``--thermal`` of a 0x0 PPM/PGM pair: headers, no pixels."""
+    (tmp_path / "e.ppm").write_bytes(b"P6\n0 0\n255\n")
+    (tmp_path / "e.pgm").write_bytes(b"P5\n0 0\n255\n")
+    return ["--rgb", str(tmp_path / "e.ppm"), "--thermal", str(tmp_path / "e.pgm")]
+
+
 def _three_class_vocab(tmp_path):
     path = tmp_path / "classes.json"
     save_text_embeddings(path, ClassVocabulary.from_names(
@@ -318,8 +336,12 @@ def _three_class_vocab(tmp_path):
      "--n -1 must be at least 1"),
     (lambda run, data, tmp: ["gen-data", "--out", str(tmp / "ds"), "--size", "0"],
      "--size 0 must be a positive multiple of the patch size 8"),
+    (lambda run, data, tmp: ["infer", "--ckpt", str(run / "checkpoint.tseg"),
+                             *_empty_image_pair(tmp), "--out", str(tmp / "m.pgm")],
+     "image 0x0 is smaller than patch size 8"),
 ], ids=["labels_out_of_range", "ckpt_is_dir", "out_is_dir", "points_too_short",
-        "gen_data_out_under_file", "gen_data_n_negative", "gen_data_size_zero"])
+        "gen_data_out_under_file", "gen_data_n_negative", "gen_data_size_zero",
+        "infer_empty_image"])
 def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
                                          argv, message):
     args = argv(short_run, dataset, tmp_path)
