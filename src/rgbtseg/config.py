@@ -133,6 +133,11 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigValidationError(f"unknown config keys: {sorted(unknown)}")
+        for section, cls in (("model", ModelConfig), ("train", TrainConfig)):
+            unknown = set(doc.get(section, {})) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ConfigValidationError(
+                    f"unknown keys in config section '{section}': {sorted(unknown)}")
         cfg = RunConfig(
             model=ModelConfig(**doc.get("model", {})),
             train=TrainConfig(**doc.get("train", {})),

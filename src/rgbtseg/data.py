@@ -164,6 +164,8 @@ def load_dataset(manifest_path) -> tuple[list[RgbtSample], list[str]]:
     if not (isinstance(doc, dict) and isinstance(doc.get("classes"), list)
             and isinstance(doc.get("samples"), list)):
         raise ManifestError("manifest needs 'classes' and 'samples' lists")
+    if not doc["classes"] or not all(isinstance(c, str) for c in doc["classes"]):
+        raise ManifestError("manifest 'classes' must be a non-empty list of names")
     root = manifest_path.parent
     samples = []
     for i, entry in enumerate(doc["samples"]):
@@ -179,10 +181,17 @@ def load_dataset(manifest_path) -> tuple[list[RgbtSample], list[str]]:
         for k, p in paths.items():
             if not p.exists():
                 raise ManifestError(f"referenced {k} file missing: {p}")
-        samples.append(RgbtSample(
+        sample = RgbtSample(
             rgb=to_float(read_ppm(paths["rgb"])),
             thermal=to_float(read_pgm(paths["thermal"]))[:, :, None],
             labels=read_pgm(paths["label"]).astype(np.int64),
             split=entry.get("split", "train"),
-        ))
+        )
+        size = sample.rgb.shape[:2]
+        for k, a in (("thermal", sample.thermal), ("label", sample.labels)):
+            if a.shape[:2] != size:
+                raise ManifestError(
+                    f"manifest sample {i}: {k} is {a.shape[0]}x{a.shape[1]}, "
+                    f"rgb is {size[0]}x{size[1]}")
+        samples.append(sample)
     return samples, list(doc["classes"])

@@ -72,6 +72,13 @@ class TwoWayLayer:
 
 
 class MaskDecoder:
+    """``forward`` runs ``prelude`` (the token stack and the dense and
+    positional embeddings), ``two_way_transformer``, then ``tail``:
+    ``upscale_masks`` followed by ``classify`` (the text path,
+    ``class_logits`` and the class-order gather). A caller holding the two-way
+    grid or the upscaled features can enter at ``tail`` or ``classify`` and
+    re-run only what follows."""
+
     def __init__(self, reg: ParamRegistry, cfg, prompt_encoder: PromptEncoder,
                  seed: int):
         self.cfg = cfg
@@ -158,18 +165,13 @@ class MaskDecoder:
                                                             keys.shape[0])
         return bilinear_resize(low, *out_size)
 
-    # -- full pass ---------------------------------------------------------------
-
-    def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
-                out_size: tuple[int, int]) -> DecoderOutputs:
-        hp, wp, _ = e_en.shape[-3:]
-        # image + dense embedding, positional grid, [iou, mask..., sparse...] tokens
-        e_s = e_en + self.prompt_encoder.dense
-        e_p = self.prompt_encoder.positional_grid(hp, wp)
-        e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
-        e_mask = self.upscale_masks(self.two_way_transformer(e_s, e_p, e_t))
+    def classify(self, e_mask: Tensor, vocab: ClassVocabulary,
+                 out_size: tuple[int, int]) -> Tensor:
+        """Logits [..., H, W, C] in ``vocab`` order from the upscaled mask
+        features ``e_mask``: the text path (text cross-attention and
+        ``class_logits``) or, without it, the per-class linear head."""
         if not self.enable_text:
-            return DecoderOutputs(logits=self.class_logits(e_mask, None, None, out_size))
+            return self.class_logits(e_mask, None, None, out_size)
         # Run every class-axis matmul in canonical (name-sorted) order and
         # only reorder channels at the very end: BLAS kernels are not bitwise
         # permutation-equivariant, but a gather is exact, so permuting the
@@ -179,4 +181,26 @@ class MaskDecoder:
         keys = T.matmul(et, self.w_k)
         f_text = self.text_cross_attention(e_mask, et, keys)
         logits = self.class_logits(e_mask, f_text, keys, out_size)
-        return DecoderOutputs(logits=logits[..., np.argsort(order)])
+        return logits[..., np.argsort(order)]
+
+    def tail(self, e_m: Tensor, vocab: ClassVocabulary,
+             out_size: tuple[int, int]) -> Tensor:
+        """Logits from the two-way transformer's image grid ``e_m``:
+        ``upscale_masks``, then ``classify``."""
+        return self.classify(self.upscale_masks(e_m), vocab, out_size)
+
+    # -- full pass ---------------------------------------------------------------
+
+    def prelude(self, e_en: Tensor, sparse: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The two-way transformer's inputs: image + dense embedding, the
+        positional grid, and the [iou, mask..., sparse...] token stack."""
+        hp, wp, _ = e_en.shape[-3:]
+        e_s = e_en + self.prompt_encoder.dense
+        e_p = self.prompt_encoder.positional_grid(hp, wp)
+        e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
+        return e_s, e_p, e_t
+
+    def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
+                out_size: tuple[int, int]) -> DecoderOutputs:
+        e_m = self.two_way_transformer(*self.prelude(e_en, sparse))
+        return DecoderOutputs(logits=self.tail(e_m, vocab, out_size))

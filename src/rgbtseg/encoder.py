@@ -58,6 +58,12 @@ class DffmBlock:
 
 
 class RgbtEncoder:
+    """With fusion enabled, ``forward`` is the two patch embeddings followed
+    by ``run_stages``, a loop over ``stage(i, f_dffm, f_tb)``: fusion block i,
+    then transformer block i, returning both streams. ``run_stages`` can also
+    start at stage k from the streams entering it, so a caller holding them
+    re-runs only stages k and later."""
+
     def __init__(self, reg: ParamRegistry, cfg, seed: int):
         self.cfg = cfg
         d, p = cfg.d, cfg.patch
@@ -92,15 +98,27 @@ class RgbtEncoder:
             )
         f_dffm = self.thermal_embed(th)
         f_tb = self.rgb_embed(rgb)
-        hp, wp, _ = f_tb.shape[-3:]
 
         if not self.enable_dffm:
+            hp, wp, _ = f_tb.shape[-3:]
             tokens = T.concat([grid_to_tokens(f_tb), grid_to_tokens(f_dffm)], axis=-2)
             for block in self.blocks:
                 tokens = block(tokens)
             return tokens_to_grid(tokens[..., :hp * wp, :], hp, wp)
+        return self.run_stages(f_dffm, f_tb)
 
-        for dffm, block in zip(self.dffm, self.blocks):
-            f_dffm = dffm(f_dffm, f_tb)
-            f_tb = tokens_to_grid(block(grid_to_tokens(f_tb + f_dffm)), hp, wp)
+    def stage(self, i: int, f_dffm: Tensor, f_tb: Tensor) -> tuple[Tensor, Tensor]:
+        """Fusion stage ``i``: fusion block i, then transformer block i on the
+        fused backbone stream. Returns the two streams entering stage i + 1."""
+        hp, wp, _ = f_tb.shape[-3:]
+        f_dffm = self.dffm[i](f_dffm, f_tb)
+        f_tb = tokens_to_grid(self.blocks[i](grid_to_tokens(f_tb + f_dffm)), hp, wp)
+        return f_dffm, f_tb
+
+    def run_stages(self, f_dffm: Tensor, f_tb: Tensor, start: int = 0) -> Tensor:
+        """Fusion stages ``start``, ..., depth - 1 on the streams entering stage
+        ``start``; returns the image embedding grid. ``forward`` enters at 0
+        with the thermal and RGB patch embeddings."""
+        for i in range(start, len(self.blocks)):
+            f_dffm, f_tb = self.stage(i, f_dffm, f_tb)
         return f_tb

@@ -13,6 +13,14 @@ replays ``f`` with the tape and the per-op check on, so the ``NumericError``
 names the op. The determinism check compares a tape-free value with the taped
 one bitwise, so it also pins that the two kinds of forward agree.
 
+A caller that knows which part of ``f`` an input cannot influence passes one
+evaluator per input: a function with ``f``'s value that skips that part, for
+example by resuming a forward pass at the first stage reading the input from
+stage inputs computed once. The finite differences of input i call evaluator
+i; the taped evaluation and ``backward()`` still use ``f``. Each distinct
+evaluator is evaluated once at the starting point and must equal the taped
+value bitwise, so a shortcut that drifts from ``f`` raises ``GradCheckError``.
+
 A non-finite analytic or numeric derivative scores an error of ``inf``, so
 the check fails.
 """
@@ -63,6 +71,7 @@ def gradcheck(
     tol: float = 1e-4,
     max_coords_per_input: int | None = None,
     rng: np.random.Generator | None = None,
+    evaluators=None,
 ) -> GradCheckReport:
     """Check analytic gradients of scalar-valued ``f`` against central differences.
 
@@ -70,11 +79,21 @@ def gradcheck(
     forced on for the duration of the check. ``f`` must be deterministic;
     a double-evaluation mismatch raises GradCheckError. A non-finite value of
     ``f`` at any evaluated point raises ``NumericError`` naming the op.
+
+    ``evaluators``, if given, holds one function per input with ``f``'s
+    signature; the finite differences of input i evaluate ``evaluators[i]``
+    instead of ``f``. Each distinct evaluator must equal the taped ``f``
+    bitwise at the starting point, or GradCheckError is raised.
     """
     if eps <= 0:
         raise GradCheckError(f"eps must be positive, got {eps}")
     if isinstance(inputs, Tensor):
         inputs = [inputs]
+    if evaluators is None:
+        evaluators = [f] * len(inputs)
+    if len(evaluators) != len(inputs):
+        raise GradCheckError(f"{len(evaluators)} evaluators for "
+                             f"{len(inputs)} inputs")
     rng = rng or np.random.default_rng(0)
 
     saved_flags = [t.requires_grad for t in inputs]
@@ -85,8 +104,11 @@ def gradcheck(
         loss = f(*inputs)
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise GradCheckError("f must return a scalar Tensor")
-        if _value(f, inputs) != loss.item():
-            raise GradCheckError("f is not deterministic: repeated evaluation differs")
+        for ev in dict.fromkeys(evaluators):  # each distinct evaluator once
+            if _value(ev, inputs) != loss.item():
+                raise GradCheckError(
+                    "f is not deterministic: repeated evaluation differs" if ev is f
+                    else "an evaluator differs from f at the starting point")
         loss.backward()
         analytic = [
             np.zeros_like(t.data) if t.grad is None else np.array(t.grad)
@@ -97,7 +119,7 @@ def gradcheck(
         worst_input = 0
         per_input = []
         n_checked = 0
-        for i, t in enumerate(inputs):
+        for i, (t, ev) in enumerate(zip(inputs, evaluators)):
             flat = t.data.reshape(-1)
             n = flat.size
             if max_coords_per_input is not None and n > max_coords_per_input:
@@ -109,9 +131,9 @@ def gradcheck(
                 orig = flat[j]
                 try:
                     flat[j] = orig + eps
-                    fp = _value(f, inputs)
+                    fp = _value(ev, inputs)
                     flat[j] = orig - eps
-                    fm = _value(f, inputs)
+                    fm = _value(ev, inputs)
                 finally:
                     flat[j] = orig
                 numeric = (fp - fm) / (2.0 * eps)

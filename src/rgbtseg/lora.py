@@ -2,8 +2,8 @@
 
 A is initialized N(0, 1/r), B starts at zero, so an adapted layer computes
 exactly the frozen layer's function until the first optimizer step. The
-adapter path is evaluated as two thin matmuls; the dense merge exists only
-for verification and inference-time folding.
+adapter path is evaluated as two thin matmuls inside one fused tape node
+(``tensor.lora_linear``); the dense W is never formed.
 """
 
 from __future__ import annotations
@@ -50,16 +50,3 @@ class LoraLinear:
         if x.shape[-1] != self.d:
             raise ShapeError(f"lora layer expects last dim {self.d}, got {x.shape}")
         return T.lora_linear(x, self.W0, self.b0, self.A, self.B, self.scale)
-
-    def merged_weight(self) -> np.ndarray:
-        """Dense W0 + scale * (B A), in the stored [d_in, d_out] layout."""
-        return self.W0.data + self.scale * (self.B.data @ self.A.data).T
-
-
-def lora_param_count(d: int, rank: int, sites: int) -> int:
-    """Trainable adapter parameters for ``sites`` adapted d x d projections."""
-    if rank < 1:
-        raise LoraConfigError(f"rank must be >= 1, got {rank}")
-    if sites < 0:
-        raise LoraConfigError(f"sites must be >= 0, got {sites}")
-    return sites * (rank * d + d * rank)

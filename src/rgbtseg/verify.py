@@ -5,12 +5,14 @@ The full-model check jitters the zero-initialized parameters (LoRA B, fusion
 output convs) first; otherwise those paths would be checked at a point where
 both analytic and numeric gradients vanish identically.
 
-It checks its picked parameters in two groups: the encoder picks through the
-full forward, the decoder-side picks through the decoder and the loss alone,
-on one encoder output computed once. No encoder op reads a decoder or prompt
-parameter, so that output is the one every full forward of the second group
-would recompute, and the merged report is bitwise the report of a single
-check of the full forward over all picks.
+Its gradients come from one taped full forward. Its finite differences do
+not re-run what a perturbed parameter cannot change: each stage's input (the
+streams entering each fusion stage, the encoder output, the two-way grid, the
+upscaled features) is computed once without a tape, and each picked
+parameter gets a ``gradcheck`` evaluator that resumes the forward at the
+first stage reading it. The stages before it compute exactly the cached
+input, so the report is bitwise the report of a check that runs the full
+forward for every evaluation.
 """
 
 from __future__ import annotations
@@ -201,52 +203,84 @@ def full_model_setup(seed: int = 0):
     return model, Tensor(sample.rgb), Tensor(sample.thermal), vocab, sample.labels
 
 
+def pick_start(name: str) -> str:
+    """The stage at which the full-model check's finite differences of
+    parameter ``name`` start: the first stage that reads it. "model" is the
+    full forward, "encoder.<i>" fusion stage i, "decoder" the decoder on the
+    encoder output, "tail" the upscaling on the two-way grid and "classify"
+    the class head on the upscaled features."""
+    kind, part, *rest = name.split(".")
+    if kind == "encoder" and part in ("dffm", "blocks"):
+        return f"encoder.{rest[0]}"
+    return {
+        "encoder.thermal_embed": "model",
+        "decoder.twoway": "decoder",
+        "decoder.tokens": "decoder",
+        "prompt.dense": "decoder",
+        "decoder.upscale": "tail",
+        "decoder.text_attn": "classify",
+        "decoder.head": "classify",
+    }[f"{kind}.{part}"]
+
+
+def stage_inputs(model: RgbtSegModel, rgb: Tensor, th: Tensor,
+                 sparse: Tensor) -> dict:
+    """The input of every stage ``pick_start`` names except "model", computed
+    once without a tape at the model's current parameters: the two streams
+    entering each fusion stage, the encoder output, the two-way grid and the
+    upscaled mask features."""
+    enc, dec = model.encoder, model.decoder
+    x = {}
+    with T.no_grad():
+        streams = (enc.thermal_embed(th), enc.rgb_embed(rgb))
+        for i in range(len(enc.blocks)):
+            x[f"encoder.{i}"] = streams
+            streams = enc.stage(i, *streams)
+        x["decoder"] = streams[1]
+        x["tail"] = dec.two_way_transformer(*dec.prelude(x["decoder"], sparse))
+        x["classify"] = dec.upscale_masks(x["tail"])
+    return x
+
+
 def full_model_check(seed: int = 0, tol: float = 1e-4,
                      max_coords_per_input: int = 6) -> GradCheckReport:
     """End-to-end gradient check of total_loss through encoder and decoder.
 
-    The encoder picks are checked through the full forward. The decoder-side
-    picks (``decoder.*``, ``prompt.dense``) are checked through the decoder
-    and the loss alone, on an encoder output computed once; the encoder reads
-    none of them, so every value and gradient is the one the full forward
-    gives. Both groups draw their coordinates from one RNG in pick order, and
-    the merged report equals, field for field, one ``gradcheck`` of the full
-    forward over all picks.
+    One ``gradcheck`` over ``ENCODER_PICKS + DECODER_PICKS``: the analytic
+    gradients come from one taped full forward, and the finite differences
+    of each pick resume the forward at ``pick_start(pick)`` from the stage
+    inputs of ``stage_inputs``. No earlier stage reads the pick, so every
+    resumed value is the full forward's, and the report equals, field for
+    field, a check that runs the full forward for every evaluation.
     """
     model, rgb, th, vocab, labels = full_model_setup(seed)
-    coord_rng = np.random.default_rng(seed + 1)
-
-    def check(f, picks):
-        return gradcheck(f, [model.registry.get(n) for n in picks], tol=tol,
-                         max_coords_per_input=max_coords_per_input, rng=coord_rng)
-
-    def full(*_):
-        return total_loss(model.forward(rgb, th, vocab).logits, labels)
-
-    encoder = check(full, ENCODER_PICKS)
-
-    # model.forward's decoder call, on a constant encoder output
+    enc, dec = model.encoder, model.decoder
     size = rgb.shape[-3:-1]
-    with T.no_grad():
-        e_en = model.encoder.forward(rgb, th)
     sparse = model.prompt_encoder.encode_points(PointPrompt([]), size)
+    x = stage_inputs(model, rgb, th, sparse)
 
-    def decoder_only(*_):
-        return total_loss(model.decoder.forward(e_en, vocab, sparse, size).logits,
-                          labels)
+    def loss(logits):
+        return total_loss(logits, labels)
 
-    decoder = check(decoder_only, DECODER_PICKS)
+    def decoded(e_en):
+        return loss(dec.forward(e_en, vocab, sparse, size).logits)
 
-    per_input = encoder.per_input + decoder.per_input
-    max_err = max(per_input)
-    return GradCheckReport(
-        max_rel_err=max_err,
-        passed=max_err <= tol,
-        tol=tol,
-        checked_coords=encoder.checked_coords + decoder.checked_coords,
-        worst_input=per_input.index(max_err),
-        per_input=per_input,
-    )
+    def from_stage(i):
+        return lambda *_: decoded(enc.run_stages(*x[f"encoder.{i}"], start=i))
+
+    evaluators = {
+        "model": lambda *_: loss(model.forward(rgb, th, vocab).logits),
+        **{f"encoder.{i}": from_stage(i) for i in range(len(enc.blocks))},
+        "decoder": lambda *_: decoded(x["decoder"]),
+        "tail": lambda *_: loss(dec.tail(x["tail"], vocab, size)),
+        "classify": lambda *_: loss(dec.classify(x["classify"], vocab, size)),
+    }
+
+    picks = ENCODER_PICKS + DECODER_PICKS
+    return gradcheck(evaluators["model"], [model.registry.get(n) for n in picks],
+                     tol=tol, max_coords_per_input=max_coords_per_input,
+                     rng=np.random.default_rng(seed + 1),
+                     evaluators=[evaluators[pick_start(n)] for n in picks])
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from rgbtseg.checkpoint import load_checkpoint, save_checkpoint
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.optim import AdamW
-from rgbtseg.pnm import read_pgm
+from rgbtseg.pnm import read_pgm, write_pgm
 from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 
 
@@ -196,8 +197,12 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ([1], "config must be an object, got [1]"),
     ({"model": 3}, "config section 'model' must be an object, got 3"),
     ({"train": []}, "config section 'train' must be an object, got []"),
+    ({"model": {"x": 1, "d": 64, "a": 2}},
+     "unknown keys in config section 'model': ['a', 'x']"),
+    ({"train": {"step": 3}}, "unknown keys in config section 'train': ['step']"),
 ], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range",
-        "top_null", "top_string", "top_list", "model_not_object", "train_not_object"])
+        "top_null", "top_string", "top_list", "model_not_object", "train_not_object",
+        "model_unknown_key", "train_unknown_key"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -288,7 +293,12 @@ def test_eval_vocab_mismatching_text_free_head_exits_2(dataset, tmp_path, capsys
      "manifest sample 0 field 'rgb' is not a string"),
     (lambda doc: doc["samples"][0].update(split=["train"]),
      "manifest sample 0 field 'split' is not a string"),
-], ids=["samples_not_list", "sample_not_object", "path_not_string", "split_not_string"])
+    (lambda doc: doc.update(classes=[1, 2, 3, 4]),
+     "manifest 'classes' must be a non-empty list of names"),
+    (lambda doc: doc.update(classes=[]),
+     "manifest 'classes' must be a non-empty list of names"),
+], ids=["samples_not_list", "sample_not_object", "path_not_string", "split_not_string",
+        "classes_not_strings", "classes_empty"])
 def test_manifest_malformed_sample_exits_2(dataset, tmp_path, capsys, edit, message):
     doc = json.loads((dataset / "manifest.json").read_text())
     edit(doc)
@@ -297,6 +307,24 @@ def test_manifest_malformed_sample_exits_2(dataset, tmp_path, capsys, edit, mess
     assert cli.main(["train", "--data", str(path),
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_sample_size_mismatch_exits_2_before_any_output(short_run, dataset, tmp_path,
+                                                        capsys, command):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    write_pgm(data / "sample_0003_label.pgm", np.zeros((32, 32), np.uint8))
+    out = tmp_path / "o"
+    argv = (["train", "--data", str(data), "--out", str(out), "--steps", "1"]
+            if command == "train" else
+            ["eval", "--ckpt", str(short_run / "checkpoint.tseg"), "--data", str(data),
+             "--out", str(out)])
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("error: manifest sample 3: label is 32x32, "
+                                       "rgb is 64x64\n")
+    assert not out.exists()
 
 
 def _empty_image_pair(tmp_path):

@@ -100,3 +100,67 @@ def test_f_differing_without_the_tape_rejected(tape_free_scale):
 
     with pytest.raises(GradCheckError, match="not deterministic"):
         gradcheck(f, Tensor(np.ones(3)))
+
+
+def _counted(fn, calls, key):
+    def counted(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args)
+    return counted
+
+
+def test_evaluator_i_runs_only_for_input_i():
+    def f(a, b):
+        return (a * a).sum() + (b * b * b).sum()
+
+    calls = {}
+    a, b = Tensor(np.ones(2)), Tensor(np.full(3, 0.5))
+    report = gradcheck(_counted(f, calls, "f"), [a, b],
+                       evaluators=[_counted(f, calls, "a"), _counted(f, calls, "b")])
+    assert report.passed and report.checked_coords == 5
+    # the taped evaluation uses f; each evaluator is checked once at the
+    # starting point, then runs two evaluations per coordinate of its input
+    assert calls == {"f": 1, "a": 1 + 2 * 2, "b": 1 + 2 * 3}
+
+
+def test_evaluator_shared_by_inputs_is_checked_once():
+    def f(a, b):
+        return (a * b).sum()
+
+    calls = {}
+    ev = _counted(f, calls, "ev")
+    gradcheck(f, [Tensor(np.ones(2)), Tensor(np.ones(2))], evaluators=[ev, ev])
+    assert calls == {"ev": 1 + 2 * 4}
+
+
+def test_evaluator_differing_from_f_at_the_start_rejected():
+    def f(t):
+        return (t * t).sum()
+
+    with pytest.raises(GradCheckError, match="evaluator differs from f"):
+        gradcheck(f, Tensor(np.ones(3)), evaluators=[lambda t: f(t) + 1e-12])
+
+
+def test_evaluator_nonfinite_at_plus_eps_names_the_op():
+    eps = 1e-5
+    x = Tensor(np.zeros(2))
+
+    def ev(t):  # finite at t = 0 and t = -eps, NaN at t = eps
+        return T.log(Tensor(np.full(2, eps / 2)) - t).sum()
+
+    def f(t):  # the same value at t = 0, finite everywhere
+        return (t * 0.0).sum() + float(np.log(eps / 2)) * 2
+
+    assert ev(x).item() == f(x).item()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite value produced by op 'log'"):
+            gradcheck(f, x, eps=eps, evaluators=[ev])
+    assert np.array_equal(x.data, np.zeros(2))
+
+
+def test_evaluator_list_of_the_wrong_length_rejected():
+    def f(a, b):
+        return (a * b).sum()
+
+    with pytest.raises(GradCheckError, match="1 evaluators for 2 inputs"):
+        gradcheck(f, [Tensor(np.ones(2)), Tensor(np.ones(2))], evaluators=[f])

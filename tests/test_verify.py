@@ -1,13 +1,15 @@
-"""The full-model check splits its picks into an encoder group and a
-decoder-side group that reuses one encoder output; the split must not change
-the report."""
+"""The full-model check resumes each pick's finite differences at the first
+stage that reads the pick, from stage inputs computed once; that must not
+change the report."""
 
 import numpy as np
 
 from rgbtseg import verify
-from rgbtseg.encoder import RgbtEncoder
+from rgbtseg.decoder import TwoWayLayer
 from rgbtseg.gradcheck import gradcheck
 from rgbtseg.losses import total_loss
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.prompts import PointPrompt
 
 
 def test_split_report_equals_one_check_of_the_full_forward():
@@ -25,27 +27,52 @@ def test_split_report_equals_one_check_of_the_full_forward():
     assert report == reference  # every field, bitwise
 
 
+def _arrays(stage_input):
+    return [t.data for t in (stage_input if isinstance(stage_input, tuple)
+                             else (stage_input,))]
+
+
 def test_decoder_side_picks_leave_the_encoder_output_unchanged():
     model, rgb, th, _, _ = verify.full_model_setup(0)
-    before = model.encoder.forward(rgb, th).data
+    sparse = model.prompt_encoder.encode_points(PointPrompt([]), rgb.shape[-3:-1])
+    x = verify.stage_inputs(model, rgb, th, sparse)
+    stages = list(x)
     rng = np.random.default_rng(1)
-    for name in verify.DECODER_PICKS:
+    for name in verify.ENCODER_PICKS + verify.DECODER_PICKS:
         p = model.registry.get(name)
         p.data[...] = rng.normal(size=p.shape)
-        assert np.array_equal(model.encoder.forward(rgb, th).data, before), name
+        after = verify.stage_inputs(model, rgb, th, sparse)
+        # the cached encoder output is the encoder's own
+        assert np.array_equal(after["decoder"].data,
+                              model.encoder.forward(rgb, th).data), name
+        start = verify.pick_start(name)
+        # "model" reads the images, which nothing computes
+        upstream = [] if start == "model" else stages[:stages.index(start) + 1]
+        if name in verify.DECODER_PICKS:
+            assert "decoder" in upstream, name
+        for key in upstream:
+            for a, b in zip(_arrays(x[key]), _arrays(after[key])):
+                assert np.array_equal(a, b), (name, key)
+        x = after
 
 
 def test_encoder_runs_once_for_the_decoder_side_group(monkeypatch):
-    calls = 0
-    forward = RgbtEncoder.forward
+    calls = {RgbtSegModel.forward: 0, TwoWayLayer.__call__: 0}
 
-    def counting(self, rgb, th):
-        nonlocal calls
-        calls += 1
-        return forward(self, rgb, th)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(RgbtEncoder, "forward", counting)
+    monkeypatch.setattr(RgbtSegModel, "forward", counting(RgbtSegModel.forward))
+    monkeypatch.setattr(TwoWayLayer, "__call__", counting(TwoWayLayer.__call__))
     verify.full_model_check(0, max_coords_per_input=6)
-    # 6 encoder picks x 6 coords x 2 sides, the taped and the determinism
-    # evaluation, and one for all decoder-side picks (194 with no split)
-    assert calls == 6 * 6 * 2 + 2 + 1
+    forwards, two_way = calls.values()
+    # the taped and the determinism evaluation, and 6 coords x 2 sides for
+    # encoder.thermal_embed.W, the one pick every stage reads
+    assert forwards == 2 + 6 * 2
+    # 2 layers per decoder pass: the full forwards; 60 finite differences and
+    # 4 determinism evaluations resumed at fusion stages 0-3; 48 and 1 at the
+    # decoder; one pass caching the two-way grid (392 before resumption)
+    assert two_way == 2 * (forwards + 60 + 4 + 48 + 1 + 1)
