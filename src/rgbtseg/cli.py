@@ -286,7 +286,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.fn(args)
+        # the program checks every result it keeps for NaN and Inf itself, so
+        # numpy's floating-point warnings would only precede its one-line abort
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return 3

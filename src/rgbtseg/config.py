@@ -4,6 +4,7 @@ ablation switches, with JSON round-trip and eager validation."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -63,7 +64,9 @@ _KINDS = {
 
 def _check_types(prefix: str, cfg) -> None:
     """Each bool, int or float field must hold its annotated type; a float
-    field also takes an int, and a bool is neither an int nor a float."""
+    field also takes an int, and a bool is neither an int nor a float. A float
+    must be finite: JSON's ``NaN`` and ``Infinity`` pass every comparison
+    check below and only fail mid-run."""
     for f in fields(cfg):
         kind, _, optional = f.type.partition(" | ")  # annotations are strings here
         value = getattr(cfg, f.name)
@@ -73,6 +76,9 @@ def _check_types(prefix: str, cfg) -> None:
             raise ConfigValidationError(
                 f"{prefix}{f.name} must be {'an' if kind == 'int' else 'a'} "
                 f"{kind}, got {value!r}")
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigValidationError(
+                f"{prefix}{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -110,10 +116,17 @@ class RunConfig:
             raise ConfigValidationError(
                 f"lora_rank must satisfy 1 <= r < d, got {m.lora_rank}")
         if m.lora_alpha is not None and m.lora_alpha <= 0:
-            raise ConfigValidationError("lora_alpha must be positive")
+            raise ConfigValidationError(
+                f"model.lora_alpha must be positive, got {m.lora_alpha!r}")
         t = self.train
-        if t.lr <= 0 or t.weight_decay < 0 or t.lambda_dice < 0 or t.dice_smooth <= 0:
-            raise ConfigValidationError("invalid training hyperparameters")
+        for k, v, least in (("lr", t.lr, "positive"),
+                            ("weight_decay", t.weight_decay, "non-negative"),
+                            ("lambda_dice", t.lambda_dice, "non-negative"),
+                            ("dice_smooth", t.dice_smooth, "positive")):
+            if v < 0 or (v == 0 and least == "positive"):
+                raise ConfigValidationError(
+                    f"invalid training hyperparameter: train.{k} must be "
+                    f"{least}, got {v!r}")
         if t.steps < 0 or t.batch < 1:
             raise ConfigValidationError("steps must be >= 0 and batch >= 1")
 

@@ -17,6 +17,9 @@ composition it replaces, so the model's forward values are bitwise unchanged;
 the loss node reduces over a class-major layout, so a loss value may differ
 from that composition's by rounding.
 
+Every op needs only numpy; ``gelu`` is the tanh form of GELU, not the exact
+erf form.
+
 By default every op checks its result and raises ``NumericError`` naming the
 op on a NaN or Inf. Two switches skip that per-op check; the caller checks the
 final result once and, on a non-finite value, replays the same ops with the
@@ -36,7 +39,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import special
 
 DEFAULT_DTYPE = np.float64
 
@@ -419,8 +421,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """``1 / (1 + exp(-x))``, evaluated through ``exp(-|x|)`` so that no
+    input overflows; exactly 0 and 1 far out on either side."""
     x = Tensor._coerce(x)
-    data = special.expit(x.data)
+    e = np.exp(-np.abs(x.data))
+    r = 1.0 / (1.0 + e)
+    data = np.where(x.data >= 0, r, e * r)
 
     def backward(g, acc):
         acc(x, g * data * (1.0 - data))
@@ -428,19 +434,30 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), backward, "sigmoid")
 
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_GELU_K = float(np.sqrt(2.0 / np.pi))
+_GELU_C = 0.044715
+_GELU_HALF_K, _GELU_HALF_3KC = 0.5 * _GELU_K, 1.5 * _GELU_K * _GELU_C
+# beyond this |x| the tanh argument exceeds 43 and tanh is ±1 to the last
+# bit, so clipping there changes no value and keeps x³ finite
+_GELU_CLIP = 10.0
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Tanh-form GELU (Hendrycks & Gimpel, arXiv:1606.08415):
+    ``0.5 x (1 + tanh(√(2/π) (x + 0.044715 x³)))``, not the exact erf form.
+    The cube is taken by multiplies: numpy's float ``pow`` costs tens of
+    times more per element."""
     x = Tensor._coerce(x)
-    cdf = 0.5 * (1.0 + special.erf(x.data / _SQRT2))
-    data = x.data * cdf
+    u = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
+    t = np.tanh(_GELU_K * (u + _GELU_C * (u * u * u)))
+    data = 0.5 * x.data * (1.0 + t)
 
     def backward(g, acc):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data ** 2)
-        acc(x, g * (cdf + x.data * pdf))
+        # d/dx = (1 + t) (1/2 + x (1 - t) √(2/π) (1 + 3·0.044715 x²) / 2); the
+        # factored 1 - t² keeps its precision as |t| nears 1, and past the
+        # clip 1 - t or 1 + t is 0 while u keeps x² finite
+        half_dz = _GELU_HALF_K + _GELU_HALF_3KC * (u * u)
+        acc(x, g * ((1.0 + t) * (0.5 + u * (1.0 - t) * half_dz)))
 
     return Tensor._from_op(data, (x,), backward, "gelu")
 

@@ -200,9 +200,21 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"model": {"x": 1, "d": 64, "a": 2}},
      "unknown keys in config section 'model': ['a', 'x']"),
     ({"train": {"step": 3}}, "unknown keys in config section 'train': ['step']"),
+    ({"train": {"lr": float("nan")}}, "train.lr must be finite, got nan"),
+    ({"model": {"lora_alpha": float("inf")}}, "model.lora_alpha must be finite, got inf"),
+    ({"train": {"lambda_dice": float("inf")}}, "train.lambda_dice must be finite, got inf"),
+    ({"train": {"weight_decay": float("-inf")}},
+     "train.weight_decay must be finite, got -inf"),
+    ({"train": {"lr": 0}},
+     "invalid training hyperparameter: train.lr must be positive, got 0"),
+    ({"train": {"lambda_dice": -0.5}},
+     "invalid training hyperparameter: train.lambda_dice must be non-negative, got -0.5"),
+    ({"model": {"lora_alpha": -1.0}}, "model.lora_alpha must be positive, got -1.0"),
 ], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range",
         "top_null", "top_string", "top_list", "model_not_object", "train_not_object",
-        "model_unknown_key", "train_unknown_key"])
+        "model_unknown_key", "train_unknown_key", "lr_nan", "lora_alpha_inf",
+        "lambda_dice_inf", "weight_decay_minus_inf", "lr_zero", "lambda_dice_negative",
+        "lora_alpha_negative"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -214,20 +226,67 @@ def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, messag
     assert out == ""
 
 
+def _run_python(*argv):
+    """``python argv`` in a fresh process that imports this checkout's
+    rgbtseg, so that everything it prints to stderr, numpy's own warnings
+    included, is captured."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run_cli(*argv):
+    return _run_python("-m", "rgbtseg.cli", *argv)
+
+
+def test_a_training_step_and_a_predict_load_no_scipy_module():
+    script = """
+import sys
+import rgbtseg.cli, rgbtseg.verify
+from rgbtseg import train
+from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES, gen_synthetic
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.prompts import ClassVocabulary
+
+cfg = RunConfig()
+cfg.train.steps = 1
+model = RgbtSegModel(cfg)
+vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
+samples = gen_synthetic(4, (32, 32), seed=0)
+train.train(model, vocab, samples, cfg.train)
+model.predict(samples[0].rgb, samples[0].thermal, vocab)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_train_on_empty_manifest_exits_2_with_one_line(tmp_path):
     data = tmp_path / "ds"
     data.mkdir()
     (data / "manifest.json").write_text(json.dumps({"classes": ["a", "b"],
                                                     "samples": []}))
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "rgbtseg.cli", "train", "--data",
-                           str(data), "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli("train", "--data", data, "--out", tmp_path / "o")
     assert proc.returncode == 2
     assert proc.stderr == "error: no training samples\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc", [{"train": {"weight_decay": 1e9}},
+                                 {"train": {"lr": 1e300}}],
+                         ids=["weight_decay_1e9", "lr_1e300"])
+def test_diverging_run_exits_3_with_one_stderr_line(dataset, tmp_path, doc):
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli("train", "--data", dataset, "--out", tmp_path / "o",
+                    "--config", path, "--steps", "100")
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("numeric abort: non-finite value")
 
 
 def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,

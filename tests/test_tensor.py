@@ -1,6 +1,9 @@
 """Autodiff core: forward oracles, backward correctness on small graphs,
 broadcasting, and error behavior."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,43 @@ def test_unary_op_oracles():
     assert np.allclose(T.sigmoid(t).data, 1.0 / (1.0 + np.exp(-x)))
     pos = Tensor(np.abs(x) + 0.5)
     assert np.allclose(T.log(pos).data, np.log(pos.data))
+
+
+EXTREMES = [1e200, -1e200, 1e3, -1e3, 40.0, -40.0, 3.0, -3.0, 1e-8, -1e-8, 0.0]
+
+
+def _value_and_slope(op, xs):
+    """``op`` and its derivative at each of ``xs``, with every numpy warning
+    (overflow, invalid) raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = Tensor(np.array(xs), requires_grad=True)
+        y = op(x)
+        y.sum().backward()
+    assert np.isfinite(y.data).all() and np.isfinite(x.grad).all()
+    return y.data, x.grad
+
+
+def test_gelu_is_the_tanh_form_and_finite_at_extremes():
+    k = math.sqrt(2.0 / math.pi)
+    value, slope = _value_and_slope(T.gelu, EXTREMES)
+    for x, got, dgot in zip(EXTREMES, value, slope):
+        t = math.tanh(k * (x + 0.044715 * (x * x * x)))  # x³ = inf at 1e200: t = ±1
+        ref = 0.5 * x * (1.0 + t)
+        assert abs(got - ref) <= 4 * math.ulp(ref), x
+        if abs(x) < 1e100:  # beyond, x² overflows and 0·inf is NaN in the reference
+            dref = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * k * (1.0 + 3 * 0.044715 * x * x)
+            assert math.isclose(dgot, dref, rel_tol=1e-12), x
+    assert slope[0] == 1.0 and slope[1] == 0.0
+
+
+def test_sigmoid_saturates_exactly_without_overflow():
+    value, _ = _value_and_slope(T.sigmoid, EXTREMES)
+    for x, got in zip(EXTREMES, value):
+        ref = (1.0 / (1.0 + math.exp(-x)) if x >= 0
+               else math.exp(x) / (1.0 + math.exp(x)))
+        assert abs(got - ref) <= 4 * math.ulp(ref), x
+    assert value[2] == 1.0 and value[3] == 0.0  # sigmoid(±1e3)
 
 
 def test_reshape_transpose_concat_round_trip():
