@@ -6,7 +6,7 @@ Layout (all integers little-endian):
   count   u32      number of parameter records
   records          for each parameter:
       name_len u32, name bytes (utf-8),
-      dtype    u8  (0 = float64, 1 = float32),
+      dtype    u8  (0 = float64; no other code is valid),
       ndim     u8, dims u32 * ndim,
       frozen   u8,
       raw little-endian scalar data
@@ -45,24 +45,23 @@ class TruncatedError(CheckpointError):
 
 MAGIC = b"TSEG"
 VERSION = 1
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
+_FLOAT64 = 0  # the one record dtype code
+_F8 = np.dtype("<f8")
 
 
 def serialize(state: dict[str, tuple[np.ndarray, bool]]) -> bytes:
     out = [MAGIC, struct.pack("<II", VERSION, len(state))]
     for name, (arr, frozen) in state.items():
         arr = np.ascontiguousarray(arr)
-        code = _DTYPE_CODES.get(arr.dtype)
-        if code is None:
+        if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
         nb = name.encode()
         out.append(struct.pack("<I", len(nb)))
         out.append(nb)
-        out.append(struct.pack("<BB", code, arr.ndim))
+        out.append(struct.pack("<BB", _FLOAT64, arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(struct.pack("<B", 1 if frozen else 0))
-        out.append(arr.astype(_DTYPES[code], copy=False).tobytes())
+        out.append(arr.astype(_F8, copy=False).tobytes())
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -92,15 +91,14 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
             pos += 4 * ndim
             (frozen,) = struct.unpack_from("<B", body, pos)
             pos += 1
-            dtype = _DTYPES.get(code)
-            if dtype is None:
+            if code != _FLOAT64:
                 raise CheckpointError(f"unknown dtype code {code} for '{name}'")
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+            nbytes = int(np.prod(dims, dtype=np.int64)) * _F8.itemsize
             if pos + nbytes > len(body):
                 raise TruncatedError(f"record '{name}' runs past end of file")
-            arr = np.frombuffer(body[pos:pos + nbytes], dtype=dtype).reshape(dims)
+            arr = np.frombuffer(body[pos:pos + nbytes], dtype=_F8).reshape(dims)
             pos += nbytes
-            state[name] = (arr.astype(np.float64) if code == 0 else arr.copy(), frozen)
+            state[name] = (arr.astype(np.float64), frozen)
     except struct.error as e:
         raise TruncatedError(f"checkpoint ends mid-record: {e}") from e
     if pos != len(body):

@@ -15,6 +15,8 @@ class ConfigValidationError(ValueError):
 
 @dataclass
 class ModelConfig:
+    # sizes only the synthetic data of ``verify`` and the benchmark; the model
+    # takes images of any size whose sides are multiples of ``patch``
     image_size: int = 64
     patch: int = 8
     d: int = 64

@@ -1,9 +1,9 @@
 """Segmentation metrics: per-class IoU and mean IoU over label maps.
 
 Classes whose union is empty (never predicted and never labeled) are marked
-absent with NaN, not scored 0; the default mIoU policy averages over present
-classes only. Ground truth follows the losses' label rule (``losses.valid_labels``):
-a label outside [0, C) that is not the ignore label raises LabelError.
+absent with NaN, not scored 0; mIoU averages over present classes only. Ground
+truth follows the losses' label rule (``losses.valid_labels``): a label
+outside [0, C) that is not the ignore label raises LabelError.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ def iou_per_class(pred: np.ndarray, gt: np.ndarray, num_classes: int,
     return iou_from_counts(confusion_counts(pred, gt, num_classes, ignore_label))
 
 
-def miou(per_class: np.ndarray, include_absent: bool = False) -> float:
-    """Mean IoU. Absent (NaN) classes are excluded by default; with
-    ``include_absent`` they count as 0."""
+def miou(per_class: np.ndarray) -> float:
+    """Mean IoU over the present classes; absent (NaN) classes are excluded."""
     per_class = np.asarray(per_class, dtype=np.float64)
-    if include_absent:
-        return float(np.nan_to_num(per_class, nan=0.0).mean())
     present = ~np.isnan(per_class)
     if not present.any():
         raise MetricError("no class is present; mIoU undefined")

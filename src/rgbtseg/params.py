@@ -48,9 +48,6 @@ class ParamRegistry:
     def items(self):
         return self._entries.items()
 
-    def names(self):
-        return list(self._entries)
-
     def trainable(self):
         return [(n, t) for n, (t, frozen) in self._entries.items() if not frozen]
 

@@ -1,14 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every value flowing through the model is a Tensor wrapping a float64 (or
-float32) numpy array. Ops build an implicit graph through parent references;
-calling ``backward()`` on a scalar walks the graph in reverse topological
-order exactly once and deposits gradients on the leaf tensors that requested
-them. The graph is released after backward. Ops compute an operand's gradient
-only if that operand requires one, so frozen weights cost no gradient
-arithmetic.
+Every value flowing through the model is a Tensor wrapping a float64 numpy
+array. Ops build an implicit graph through parent references; calling
+``backward()`` on a scalar walks the graph in reverse topological order
+exactly once and deposits gradients on the leaf tensors that requested them.
+The graph is released after backward. Ops compute an operand's gradient only
+if that operand requires one, so frozen weights cost no gradient arithmetic.
 
-Besides the elementary ops there are fused nodes for the model's hot blocks:
+The tape holds only the ops the model runs. Besides the elementary ones
+(``+``, ``*``, indexing, ``reshape``, ``transpose``, ``sum``, ``matmul``,
+``relu``, ``sigmoid``, ``gelu``, ``softmax`` and ``concat``) there are fused
+nodes for the model's hot blocks:
 ``linear``, ``lora_linear``, ``layer_norm``, the multi-head ``attention``
 core and the segmentation loss ``ce_dice``. Each is one tape node with a
 hand-written backward that keeps only what that backward reads. Each layer
@@ -39,8 +41,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
 
 
 class ShapeError(ValueError):
@@ -123,8 +123,8 @@ def _selects_each_once(index) -> bool:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple = ()
@@ -188,21 +188,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = Tensor._coerce(other)
-        data = self.data - other.data
-
-        def backward(g, acc):
-            if self.requires_grad:
-                acc(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
-                acc(other, _unbroadcast(-g, other.shape))
-
-        return Tensor._from_op(data, (self, other), backward, "sub")
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         other = Tensor._coerce(other)
         data = self.data * other.data
@@ -216,37 +201,6 @@ class Tensor:
         return Tensor._from_op(data, (self, other), backward, "mul")
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        data = self.data / other.data
-
-        def backward(g, acc):
-            if self.requires_grad:
-                acc(self, _unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                acc(other, _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
-
-        return Tensor._from_op(data, (self, other), backward, "div")
-
-    def __neg__(self):
-        def backward(g, acc):
-            acc(self, -g)
-
-        return Tensor._from_op(-self.data, (self,), backward, "neg")
-
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
-
-        def backward(g, acc):
-            acc(self, g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._from_op(data, (self,), backward, "pow")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -388,26 +342,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return Tensor._from_op(data, (a, b), backward, "matmul")
-
-
-def exp(x: Tensor) -> Tensor:
-    x = Tensor._coerce(x)
-    data = np.exp(x.data)
-
-    def backward(g, acc):
-        acc(x, g * data)
-
-    return Tensor._from_op(data, (x,), backward, "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    x = Tensor._coerce(x)
-    data = np.log(x.data)
-
-    def backward(g, acc):
-        acc(x, g / x.data)
-
-    return Tensor._from_op(data, (x,), backward, "log")
 
 
 def relu(x: Tensor) -> Tensor:

@@ -72,11 +72,17 @@ def _batch_loss(model: RgbtSegModel, vocab: ClassVocabulary,
     return loss
 
 
-def _nonfinite_grad(registry: ParamRegistry) -> str | None:
-    """The name of the first trainable parameter with a non-finite gradient."""
+def _gradient_error(registry: ParamRegistry) -> str | None:
+    """The error for the first trainable parameter whose gradient is not
+    finite or whose squared norm overflows, which would turn AdamW's second
+    moment into inf and freeze the parameter; None when every gradient is
+    usable. The squared norm is NaN or inf in both cases."""
     for name, p in registry.trainable():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            return name
+        if p.grad is not None and not math.isfinite(np.vdot(p.grad, p.grad)):
+            if np.isfinite(p.grad).all():
+                return (f"gradient overflow on parameter '{name}': its squared "
+                        "norm exceeds the float64 range")
+            return f"non-finite gradient on parameter '{name}'"
     return None
 
 
@@ -90,9 +96,9 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
     a non-finite value it clears the gradients and replays the step's forward
     with the per-op check on, which is exact because no parameter has moved:
     the replay raises ``NumericError`` naming the op that produced the value,
-    and when the forward is finite and only a gradient is not, the error
-    names that parameter. Either way the parameters and the optimizer state
-    are left as the previous step left them.
+    and when the forward is finite and only a gradient is not (or its square
+    overflows), the error names that parameter. Either way the parameters and
+    the optimizer state are left as the previous step left them.
 
     Raises ``ValueError`` for an empty ``samples`` or an ignore label that is
     one of the vocabulary's class indices.
@@ -127,13 +133,13 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         with unchecked():
             loss = _batch_loss(model, vocab, groups, cfg, acc)
             loss.backward()
-        bad = _nonfinite_grad(model.registry)
+        bad = _gradient_error(model.registry)
         if bad is not None or not np.isfinite(loss.data):
             opt.zero_grad()
             # the replay's per-op check raises at a non-finite forward value
             _batch_loss(model, vocab, groups, cfg,
                         IouAccumulator(num_classes, cfg.ignore_label))
-            raise NumericError(f"non-finite gradient on parameter '{bad}'")
+            raise NumericError(bad)
         opt.step()
         opt.zero_grad()
 

@@ -1,5 +1,5 @@
-"""Gradient verification suite: every differentiable op against central
-differences, plus the full encoder -> decoder -> loss composition.
+"""Gradient verification suite: every differentiable op the model runs against
+central differences, plus the full encoder -> decoder -> loss composition.
 
 The full-model check jitters the zero-initialized parameters (LoRA B, fusion
 output convs) first; otherwise those paths would be checked at a point where
@@ -64,19 +64,18 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
                     lambda a, b, r=rng.normal(size=(m, n)): (T.matmul(a, b) * Tensor(r)).sum(),
                     a, b)
         x = _rand(rng, m, n)
-        for op_name, op in [("softmax", lambda t: T.softmax(t, axis=-1)),
-                            ("exp", T.exp), ("gelu", T.gelu),
-                            ("sigmoid", T.sigmoid), ("tensor_mul", lambda t: t * t),
-                            ("pow", lambda t: (t * t + 1.0) ** -0.5)]:
+        # one output weighting per unary check: eight draws for five checks,
+        # so that each seed's reports equal those of versions that also
+        # checked exp, pow and log (draws 1, 5 and 6)
+        w = rng.normal(size=(8, m, n))
+        for op_name, op, r in [("softmax", lambda t: T.softmax(t, axis=-1), w[0]),
+                               ("gelu", T.gelu, w[2]), ("sigmoid", T.sigmoid, w[3]),
+                               ("tensor_mul", lambda t: t * t, w[4])]:
             yield check(f"{op_name}[{si}]",
-                        lambda t, op=op, r=rng.normal(size=(m, n)): (op(t) * Tensor(r)).sum(),
+                        lambda t, op=op, r=r: (op(t) * Tensor(r)).sum(),
                         Tensor(np.array(x.data)))
-        pos = Tensor(np.abs(x.data) + 0.5)
-        yield check(f"log[{si}]",
-                    lambda t, r=rng.normal(size=(m, n)): (T.log(t) * Tensor(r)).sum(), pos)
         away = Tensor(x.data + 0.2 * np.sign(x.data))  # keep off the relu kink
-        yield check(f"relu[{si}]",
-                    lambda t, r=rng.normal(size=(m, n)): (T.relu(t) * Tensor(r)).sum(), away)
+        yield check(f"relu[{si}]", lambda t, r=w[7]: (T.relu(t) * Tensor(r)).sum(), away)
         yield check(f"sum_mean[{si}]",
                     lambda t: t.sum(axis=0).mean() + t.mean(axis=-1).sum(), x)
         yield check(

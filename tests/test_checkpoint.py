@@ -15,7 +15,7 @@ def _state():
     rng = np.random.default_rng(0)
     return {
         "a.W": (rng.normal(size=(3, 4)), True),
-        "b.bias": (rng.normal(size=(5,)).astype(np.float32), False),
+        "b.bias": (rng.normal(size=(5,)), False),
     }
 
 
@@ -62,8 +62,18 @@ def test_truncation_is_typed():
 
 
 def test_unsupported_dtype_rejected():
-    with pytest.raises(CheckpointError):
-        serialize({"x": (np.zeros(3, dtype=np.int64), False)})
+    for dtype in (np.int64, np.float32):
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            serialize({"x": (np.zeros(3, dtype=dtype), False)})
+
+
+def test_record_dtype_code_other_than_float64_rejected():
+    # a hand-built record of dtype code 1 holding three float32 zeros
+    name = b"x"
+    body = (b"TSEG" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<BBIB", 1, 1, 3, 0) + np.zeros(3, "<f4").tobytes())
+    with pytest.raises(CheckpointError, match="unknown dtype code 1 for 'x'"):
+        deserialize(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_empty_state_round_trips():

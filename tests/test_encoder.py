@@ -42,7 +42,7 @@ def test_dffm_conv_out_zero_init():
 
 def test_baseline_has_no_dffm_params():
     _, reg = _encoder(enable_dffm=False)
-    assert not any(n.startswith("encoder.dffm") for n in reg.names())
+    assert not any(n.startswith("encoder.dffm") for n, _ in reg.items())
 
 
 def test_baseline_depends_on_thermal(rng):
@@ -59,7 +59,7 @@ def test_baseline_depends_on_thermal(rng):
 def test_frozen_backbone_identical_across_fusion_configs():
     _, reg_full = _encoder()
     _, reg_base = _encoder(enable_dffm=False)
-    for name in reg_full.names():
+    for name, _ in reg_full.items():
         if not name.startswith("encoder.blocks"):
             continue
         assert reg_full.is_frozen(name) == reg_base.is_frozen(name)

@@ -36,7 +36,6 @@ def test_absent_class_policy():
     per_class = iou_per_class(pred, gt, 3)
     assert np.isnan(per_class[2])
     assert miou(per_class) == 1.0
-    assert miou(per_class, include_absent=False) == 1.0
 
 
 def test_no_present_classes_is_error():

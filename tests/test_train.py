@@ -59,7 +59,14 @@ def test_finite_steps_run_no_per_op_check(monkeypatch):
     assert calls == []
 
 
-def test_nonfinite_gradient_names_the_parameter_and_moves_nothing(monkeypatch):
+# a non-finite gradient, and a finite one whose square overflows, which would
+# leave AdamW's second moment at inf
+@pytest.mark.parametrize("fill, message", [
+    (np.inf, "non-finite gradient on parameter"),
+    (1e200, "gradient overflow on parameter"),
+], ids=["inf", "1e200"])
+def test_nonfinite_gradient_names_the_parameter_and_moves_nothing(monkeypatch, fill,
+                                                                   message):
     cfg, model, vocab, samples = _setup(steps=3)
     target_name = "encoder.blocks.1.attn.v.lora.B"
     target = model.registry.get(target_name)
@@ -84,14 +91,14 @@ def test_nonfinite_gradient_names_the_parameter_and_moves_nothing(monkeypatch):
             backward = out._backward
 
             def poisoned(g, acc):
-                backward(g, lambda t, gt: acc(t, np.full_like(gt, np.inf)
+                backward(g, lambda t, gt: acc(t, np.full_like(gt, fill)
                                               if t is target else gt))
             out._backward = poisoned
         return out
 
     monkeypatch.setattr(train_mod, "AdamW", RecordingAdamW)
     monkeypatch.setattr(T, "lora_linear", lora_linear)
-    with pytest.raises(NumericError, match=f"parameter '{target_name}'"):
+    with pytest.raises(NumericError, match=f"^{message} '{target_name}'"):
         train_mod.train(model, vocab, samples, cfg.train, log_fn)
 
     opt = optimizers[0]

@@ -1,15 +1,52 @@
-"""The full-model check resumes each pick's finite differences at the first
-stage that reads the pick, from stage inputs computed once; that must not
-change the report."""
+"""The suite checks the ops the model runs, and the full-model check resumes
+each pick's finite differences at the first stage that reads the pick, from
+stage inputs computed once; that must not change the report."""
+
+from pathlib import Path
 
 import numpy as np
 
 from rgbtseg import verify
+from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.decoder import TwoWayLayer
 from rgbtseg.gradcheck import gradcheck
 from rgbtseg.losses import total_loss
 from rgbtseg.model import RgbtSegModel
-from rgbtseg.prompts import PointPrompt
+from rgbtseg.prompts import ClassVocabulary, PointPrompt
+from rgbtseg.tensor import Tensor
+from rgbtseg.train import train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Every op the model records on the tape. An op the model starts to run must
+# be added here and get a check in ``verify.op_checks``.
+MODEL_OPS = {"add", "attention", "ce_dice", "concat", "gelu", "index", "layer_norm",
+             "linear", "lora_linear", "matmul", "mul", "relu", "reshape", "sigmoid",
+             "softmax", "sum", "transpose"}
+
+
+def test_the_model_runs_exactly_the_listed_ops(monkeypatch):
+    ops = set()
+    from_op = Tensor._from_op
+
+    def recording(data, parents, backward, op):
+        ops.add(op)
+        return from_op(data, parents, backward, op)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(recording))
+    # the baseline and the full model: between them every ablation switch
+    # takes both values
+    for config_name in ("ablation_1_baseline", "ablation_7_full"):
+        cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+        cfg.train.steps = 1
+        model = RgbtSegModel(cfg)
+        vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
+        samples = gen_synthetic(cfg.train.batch, (32, 32), seed=5)
+        train(model, vocab, samples, cfg.train)
+        model.predict(samples[0].rgb, samples[0].thermal, vocab,
+                      PointPrompt([(3.0, 4.0, 1), (20.0, 25.0, 0)]))
+    assert ops == MODEL_OPS
 
 
 def test_split_report_equals_one_check_of_the_full_forward():
