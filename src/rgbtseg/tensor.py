@@ -1,11 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the model is a Tensor wrapping a float64 numpy
-array. Ops build an implicit graph through parent references; calling
-``backward()`` on a scalar walks the graph in reverse topological order
-exactly once and deposits gradients on the leaf tensors that requested them.
-The graph is released after backward. Ops compute an operand's gradient only
-if that operand requires one, so frozen weights cost no gradient arithmetic.
+array. The tape links nodes, not values: an op whose result needs a gradient
+gives it a small ``_Node`` that holds the nodes of the operands that need one,
+the op's backward closure and the op's name. A leaf tensor that requires grad
+is its own node; operands that need no gradient (frozen weights, constants)
+are not linked at all. Each closure saves exactly the arrays and shapes its
+backward reads, given which operands need a gradient: a frozen ``linear``
+saves none of its input, and no closure keeps an operand Tensor. So an
+intermediate array lives only as long as the caller or some backward still
+needs it. Calling ``backward()`` on a scalar walks the nodes in reverse
+topological order exactly once, deposits gradients on the leaf tensors that
+requested them, and releases each node's closure and parent links as soon as
+that node has run.
 
 The tape holds only the ops the model runs. Besides the elementary ones
 (``+``, ``*``, indexing, ``reshape``, ``transpose``, ``sum``, ``matmul``,
@@ -13,11 +20,12 @@ The tape holds only the ops the model runs. Besides the elementary ones
 nodes for the model's hot blocks:
 ``linear``, ``lora_linear``, ``layer_norm``, the multi-head ``attention``
 core and the segmentation loss ``ce_dice``. Each is one tape node with a
-hand-written backward that keeps only what that backward reads. Each layer
-node's forward runs the same numpy ops in the same order as the elementary-op
-composition it replaces, so the model's forward values are bitwise unchanged;
-the loss node reduces over a class-major layout, so a loss value may differ
-from that composition's by rounding.
+hand-written backward. Each layer node's forward runs the same numpy ops in
+the same order as the elementary-op composition it replaces, so the model's
+forward values are bitwise unchanged; the loss node reduces over a
+class-major layout, so a loss value may differ from that composition's by
+rounding. In-place steps reuse buffers only where they swap the two operands
+of one product or sum, which IEEE arithmetic leaves bitwise unchanged.
 
 Every op needs only numpy; ``gelu`` is the tanh form of GELU, not the exact
 erf form.
@@ -27,9 +35,9 @@ op on a NaN or Inf. Two switches skip that per-op check; the caller checks the
 final result once and, on a non-finite value, replays the same ops with the
 check on to name the op:
 
-- inside ``no_grad()`` ops also record no parents or backward closures
-  (``RgbtSegModel.predict``, and ``gradcheck`` for every evaluation of its
-  function except the one it backpropagates);
+- inside ``no_grad()`` ops also record no nodes (``RgbtSegModel.predict``,
+  and ``gradcheck`` for every evaluation of its function except the one it
+  backpropagates);
 - inside ``unchecked()`` the tape is kept, so ``backward()`` still works
   (``train.train``, which also checks every trainable gradient).
 
@@ -120,35 +128,57 @@ def _selects_each_once(index) -> bool:
     return True
 
 
+class _Node:
+    """One op on the tape: the nodes of its operands that need a gradient, and
+    ``_backward(g, acc)``, which passes the gradient ``g`` of the op's result
+    on by calling ``acc(parent, grad)`` for each of them."""
+
+    __slots__ = ("_parents", "_backward", "_op")
+
+    def __init__(self, parents: tuple, backward, op: str):
+        self._parents = parents
+        self._backward = backward
+        self._op = op
+
+
+def _grad_node(t: "Tensor"):
+    """The node that receives ``t``'s gradient: its op's node, ``t`` itself
+    for a leaf that requires grad, or None when ``t`` needs no gradient."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node: _Node | None = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
+        """The result of op ``op``. ``parents`` holds the operands' nodes, None
+        for an operand that needs no gradient; the result gets a node only if
+        the tape is on and some operand needs a gradient."""
         if _check_enabled:
             _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
-        out._op = op
+        linked = tuple(p for p in parents if p is not None) if _grad_enabled else ()
+        out.requires_grad = bool(linked)
+        out._node = _Node(linked, backward, op) if linked else None
         return out
+
+    @property
+    def _parents(self) -> tuple:
+        """The parent nodes of this tensor's op; () for a leaf."""
+        return self._node._parents if self._node is not None else ()
 
     @property
     def shape(self) -> tuple:
@@ -163,10 +193,11 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        op = self._node._op if self._node is not None else "leaf"
+        return f"Tensor(shape={self.shape}, op={op}, requires_grad={self.requires_grad})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -177,28 +208,34 @@ class Tensor:
     def __add__(self, other):
         other = Tensor._coerce(other)
         data = self.data + other.data
+        an, bn = _grad_node(self), _grad_node(other)
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g, acc):
-            if self.requires_grad:
-                acc(self, _unbroadcast(g, self.shape))
-            if other.requires_grad:
-                acc(other, _unbroadcast(g, other.shape))
+            if an is not None:
+                acc(an, _unbroadcast(g, a_shape))
+            if bn is not None:
+                acc(bn, _unbroadcast(g, b_shape))
 
-        return Tensor._from_op(data, (self, other), backward, "add")
+        return Tensor._from_op(data, (an, bn), backward, "add")
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
         data = self.data * other.data
+        an, bn = _grad_node(self), _grad_node(other)
+        a_shape, b_shape = self.shape, other.shape
+        a_data = self.data if bn is not None else None
+        b_data = other.data if an is not None else None
 
         def backward(g, acc):
-            if self.requires_grad:
-                acc(self, _unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                acc(other, _unbroadcast(g * self.data, other.shape))
+            if an is not None:
+                acc(an, _unbroadcast(g * b_data, a_shape))
+            if bn is not None:
+                acc(bn, _unbroadcast(g * a_data, b_shape))
 
-        return Tensor._from_op(data, (self, other), backward, "mul")
+        return Tensor._from_op(data, (an, bn), backward, "mul")
 
     __rmul__ = __mul__
 
@@ -207,6 +244,7 @@ class Tensor:
     def __getitem__(self, index):
         """numpy indexing (slices, Ellipsis, integer arrays); gradients of
         repeated indices accumulate."""
+        node = _grad_node(self)
         shape = self.shape
 
         def backward(g, acc):
@@ -215,44 +253,44 @@ class Tensor:
                 full[index] = g
             else:
                 np.add.at(full, index, g)
-            acc(self, full)
+            acc(node, full)
 
-        return Tensor._from_op(np.asarray(self.data[index]), (self,), backward, "index")
+        return Tensor._from_op(np.asarray(self.data[index]), (node,), backward, "index")
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        node = _grad_node(self)
         old = self.shape
         data = self.data.reshape(shape)
 
         def backward(g, acc):
-            acc(self, g.reshape(old))
+            acc(node, g.reshape(old))
 
-        return Tensor._from_op(data, (self,), backward, "reshape")
+        return Tensor._from_op(data, (node,), backward, "reshape")
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
+        node = _grad_node(self)
         inv = np.argsort(axes)
 
         def backward(g, acc):
-            acc(self, g.transpose(inv))
+            acc(node, g.transpose(inv))
 
-        return Tensor._from_op(self.data.transpose(axes), (self,), backward, "transpose")
+        return Tensor._from_op(self.data.transpose(axes), (node,), backward, "transpose")
 
     def sum(self, axis=None, keepdims: bool = False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
+        node = _grad_node(self)
         shape = self.shape
 
         def backward(g, acc):
-            if axis is None:
-                acc(self, np.broadcast_to(g, shape).copy())
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                acc(self, np.broadcast_to(g, shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            acc(node, np.broadcast_to(g, shape).copy())
 
-        return Tensor._from_op(np.asarray(data), (self,), backward, "sum")
+        return Tensor._from_op(np.asarray(data), (node,), backward, "sum")
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -268,15 +306,19 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar, populating leaf ``grad`` buffers.
 
-        The op graph reachable from this tensor is released afterwards.
+        Each node's closure and parent links are released as soon as that node
+        has run, so what it saved is freed during the walk.
         """
         if self.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
-        order: list[Tensor] = []
+        root = _grad_node(self)
+        if root is None:
+            return
+        order: list = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -287,15 +329,13 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if id(p) not in visited:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
 
-        def acc(t: Tensor, g: np.ndarray):
-            if not t.requires_grad:
-                return
-            key = id(t)
+        def acc(node, g: np.ndarray):
+            key = id(node)
             if key in grads:
                 grads[key] = grads[key] + g
             else:
@@ -303,23 +343,18 @@ class Tensor:
 
         for node in reversed(order):
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                if not node.requires_grad:
+            if isinstance(node, Tensor):  # a leaf that requires grad
+                if g is None:
                     continue
-                # leaf with requires_grad: deposit the gradient
                 if node.grad is None:
                     node.grad = np.array(g, dtype=node.data.dtype)
                 else:
                     node.grad = node.grad + g
-            else:
-                node._backward(g, acc)
-        # drop the tape
-        for node in order:
-            if node._backward is not None:
-                node._parents = ()
-                node._backward = None
+                continue
+            backward = node._backward
+            node._backward, node._parents = None, ()
+            if g is not None and backward is not None:
+                backward(g, acc)
 
 
 # -- free functions -----------------------------------------------------------
@@ -334,38 +369,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims mismatch: {a.shape} vs {b.shape}")
     data = np.matmul(a.data, b.data)
+    an, bn = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward(g, acc):
-        if a.requires_grad:
-            acc(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
-            acc(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if an is not None:
+            acc(an, _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape))
+        if bn is not None:
+            acc(bn, _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
-    return Tensor._from_op(data, (a, b), backward, "matmul")
+    return Tensor._from_op(data, (an, bn), backward, "matmul")
 
 
 def relu(x: Tensor) -> Tensor:
     x = Tensor._coerce(x)
+    node = _grad_node(x)
     data = np.maximum(x.data, 0.0)
 
     def backward(g, acc):
-        acc(x, g * (x.data > 0))
+        # the result is positive exactly where the input is
+        acc(node, g * (data > 0))
 
-    return Tensor._from_op(data, (x,), backward, "relu")
+    return Tensor._from_op(data, (node,), backward, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """``1 / (1 + exp(-x))``, evaluated through ``exp(-|x|)`` so that no
     input overflows; exactly 0 and 1 far out on either side."""
     x = Tensor._coerce(x)
+    node = _grad_node(x)
     e = np.exp(-np.abs(x.data))
     r = 1.0 / (1.0 + e)
     data = np.where(x.data >= 0, r, e * r)
 
     def backward(g, acc):
-        acc(x, g * data * (1.0 - data))
+        acc(node, g * data * (1.0 - data))
 
-    return Tensor._from_op(data, (x,), backward, "sigmoid")
+    return Tensor._from_op(data, (node,), backward, "sigmoid")
 
 
 _GELU_K = float(np.sqrt(2.0 / np.pi))
@@ -382,47 +424,65 @@ def gelu(x: Tensor) -> Tensor:
     The cube is taken by multiplies: numpy's float ``pow`` costs tens of
     times more per element."""
     x = Tensor._coerce(x)
+    node = _grad_node(x)
     u = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
-    t = np.tanh(_GELU_K * (u + _GELU_C * (u * u * u)))
-    data = 0.5 * x.data * (1.0 + t)
+    t = u * u
+    t *= u
+    t *= _GELU_C
+    t += u
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    data = 0.5 * x.data
+    data *= 1.0 + t
 
     def backward(g, acc):
         # d/dx = (1 + t) (1/2 + x (1 - t) √(2/π) (1 + 3·0.044715 x²) / 2); the
         # factored 1 - t² keeps its precision as |t| nears 1, and past the
         # clip 1 - t or 1 + t is 0 while u keeps x² finite
-        half_dz = _GELU_HALF_K + _GELU_HALF_3KC * (u * u)
-        acc(x, g * ((1.0 + t) * (0.5 + u * (1.0 - t) * half_dz)))
+        half_dz = u * u
+        half_dz *= _GELU_HALF_3KC
+        half_dz += _GELU_HALF_K
+        gx = 1.0 - t
+        gx *= u
+        gx *= half_dz
+        gx += 0.5
+        gx *= 1.0 + t
+        gx *= g
+        acc(node, gx)
 
-    return Tensor._from_op(data, (x,), backward, "gelu")
+    return Tensor._from_op(data, (node,), backward, "gelu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtracted)."""
     x = Tensor._coerce(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    node = _grad_node(x)
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g, acc):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        acc(x, data * (g - dot))
+        gx = g - (g * data).sum(axis=axis, keepdims=True)
+        gx *= data
+        acc(node, gx)
 
-    return Tensor._from_op(data, (x,), backward, "softmax")
+    return Tensor._from_op(data, (node,), backward, "softmax")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [Tensor._coerce(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [_grad_node(t) for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g, acc):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            acc(t, g[tuple(idx)])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                acc(node, g[tuple(idx)])
 
-    return Tensor._from_op(data, tuple(tensors), backward, "concat")
+    return Tensor._from_op(data, tuple(nodes), backward, "concat")
 
 
 # -- fused nodes --------------------------------------------------------------
@@ -434,19 +494,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x2 = x.data.reshape(-1, d_in)
     data = np.matmul(x2, w.data)
     if b is not None:
-        data = data + b.data
+        data += b.data
+    xn, wn = _grad_node(x), _grad_node(w)
+    bn = None if b is None else _grad_node(b)
+    x_shape = x.shape
+    w_data = w.data if xn is not None else None
+    x2 = x2 if wn is not None else None
 
     def backward(g, acc):
         g = g.reshape(-1, d_out)
-        if x.requires_grad:
-            acc(x, np.matmul(g, w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            acc(w, np.matmul(x2.T, g))
-        if b is not None and b.requires_grad:
-            acc(b, g.sum(axis=0))
+        if xn is not None:
+            acc(xn, np.matmul(g, w_data.T).reshape(x_shape))
+        if wn is not None:
+            acc(wn, np.matmul(x2.T, g))
+        if bn is not None:
+            acc(bn, g.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._from_op(data.reshape(*x.shape[:-1], d_out), parents, backward,
+    return Tensor._from_op(data.reshape(*x_shape[:-1], d_out), (xn, wn, bn), backward,
                            "linear")
 
 
@@ -457,28 +521,39 @@ def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor, b: Tensor,
     d_in, d_out = w0.shape
     x2 = x.data.reshape(-1, d_in)
     xa = np.matmul(x2, a.data.T)
-    data = np.matmul(x2, w0.data) + np.matmul(xa, b.data.T) * scale
+    data = np.matmul(x2, w0.data)
+    up = np.matmul(xa, b.data.T)
+    up *= scale
+    data += up
     if b0 is not None:
-        data = data + b0.data
+        data += b0.data
+    xn, w0n, an, bn = _grad_node(x), _grad_node(w0), _grad_node(a), _grad_node(b)
+    b0n = None if b0 is None else _grad_node(b0)
+    x_shape = x.shape
+    w0_data = w0.data if xn is not None else None
+    a_data = a.data if xn is not None else None
+    b_data = b.data if xn is not None or an is not None else None
+    x2 = x2 if w0n is not None or an is not None else None
+    xa = xa if bn is not None else None
 
     def backward(g, acc):
         g = g.reshape(-1, d_out)
         gu = g * scale
-        gxa = np.matmul(gu, b.data)
-        if x.requires_grad:
-            acc(x, (np.matmul(g, w0.data.T) + np.matmul(gxa, a.data)).reshape(x.shape))
-        if w0.requires_grad:
-            acc(w0, np.matmul(x2.T, g))
-        if b0 is not None and b0.requires_grad:
-            acc(b0, g.sum(axis=0))
-        if a.requires_grad:
-            acc(a, np.matmul(x2.T, gxa).T)
-        if b.requires_grad:
-            acc(b, np.matmul(xa.T, gu).T)
+        if xn is not None or an is not None:
+            gxa = np.matmul(gu, b_data)
+        if xn is not None:
+            acc(xn, (np.matmul(g, w0_data.T) + np.matmul(gxa, a_data)).reshape(x_shape))
+        if w0n is not None:
+            acc(w0n, np.matmul(x2.T, g))
+        if b0n is not None:
+            acc(b0n, g.sum(axis=0))
+        if an is not None:
+            acc(an, np.matmul(x2.T, gxa).T)
+        if bn is not None:
+            acc(bn, np.matmul(xa.T, gu).T)
 
-    parents = (x, w0, a, b) if b0 is None else (x, w0, b0, a, b)
-    return Tensor._from_op(data.reshape(*x.shape[:-1], d_out), parents, backward,
-                           "lora_linear")
+    return Tensor._from_op(data.reshape(*x_shape[:-1], d_out), (xn, w0n, b0n, an, bn),
+                           backward, "lora_linear")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -486,23 +561,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     ``gamma`` and shift by ``beta``."""
     d = x.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    xhat = x.data - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / d)
     inv = (var + eps) ** -0.5
-    xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
+    xn, gn, bn = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    gamma_data = gamma.data if xn is not None else None
+    inv = inv if xn is not None else None
+    xhat = xhat if xn is not None or gn is not None else None
 
     def backward(g, acc):
-        if x.requires_grad:
-            gx = g * gamma.data
-            acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-        if gamma.requires_grad:
-            acc(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            acc(beta, g.reshape(-1, d).sum(axis=0))
+        if xn is not None:
+            gx = g * gamma_data
+            mean_gx = gx.mean(axis=-1, keepdims=True)
+            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= mean_gx
+            gx -= xhat * mean_gx_xhat
+            gx *= inv
+            acc(xn, gx)
+        if gn is not None:
+            acc(gn, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bn is not None:
+            acc(bn, g.reshape(-1, d).sum(axis=0))
 
-    return Tensor._from_op(data, (x, gamma, beta), backward, "layer_norm")
+    return Tensor._from_op(data, (xn, gn, bn), backward, "layer_norm")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
@@ -514,31 +598,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     def split(t):  # [..., n, d] -> [..., heads, n, d / heads]
         return np.swapaxes(t.reshape(*t.shape[:-1], heads, -1), -3, -2)
 
-    def merge(t, like):  # [..., heads, n, d / heads] -> like.shape
-        return np.swapaxes(t, -3, -2).reshape(like.shape)
+    def merge(t, shape):  # [..., heads, n, d / heads] -> shape
+        return np.swapaxes(t, -3, -2).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     out = np.swapaxes(np.matmul(attn, vh), -3, -2)
     data = out.reshape(*out.shape[:-2], -1)
+    qn, kn, vn = _grad_node(q), _grad_node(k), _grad_node(v)
+    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+    qh_shape, kh_shape, vh_shape = qh.shape, kh.shape, vh.shape
+    qh = qh if kn is not None else None
+    kh = kh if qn is not None else None
+    vh = vh if qn is not None or kn is not None else None
 
     def backward(g, acc):
         go = split(g)
-        if v.requires_grad:
-            acc(v, merge(_unbroadcast(np.matmul(np.swapaxes(attn, -1, -2), go),
-                                      vh.shape), v))
-        if q.requires_grad or k.requires_grad:
-            ga = np.matmul(go, np.swapaxes(vh, -1, -2))
-            gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
-                acc(q, merge(_unbroadcast(np.matmul(gs, kh), qh.shape), q))
-            if k.requires_grad:
-                acc(k, merge(_unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qh),
-                                          kh.shape), k))
+        if vn is not None:
+            acc(vn, merge(_unbroadcast(np.matmul(np.swapaxes(attn, -1, -2), go),
+                                       vh_shape), v_shape))
+        if qn is not None or kn is not None:
+            gs = np.matmul(go, np.swapaxes(vh, -1, -2))
+            gs -= (gs * attn).sum(axis=-1, keepdims=True)
+            gs *= attn
+            gs *= scale
+            if qn is not None:
+                acc(qn, merge(_unbroadcast(np.matmul(gs, kh), qh_shape), q_shape))
+            if kn is not None:
+                acc(kn, merge(_unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qh),
+                                           kh_shape), k_shape))
 
-    return Tensor._from_op(data, (q, k, v), backward, "attention")
+    return Tensor._from_op(data, (qn, kn, vn), backward, "attention")
 
 
 def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
@@ -558,9 +652,10 @@ def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
     s, n = valid.shape
     x = np.ascontiguousarray(np.moveaxis(logits.data.reshape(s, n, c), -1, 0))
     xmax = x.max(axis=0)
-    e = np.exp(x - xmax)
-    total = e.sum(axis=0)
-    p = e / total
+    p = x - xmax
+    np.exp(p, out=p)
+    total = p.sum(axis=0)
+    p /= total
     n_valid = valid.sum(axis=-1)
     weight = (n_valid > 0) / s
     ce = dice = 0.0
@@ -573,9 +668,11 @@ def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
         coef = ((pv * onehot).sum(axis=-1) * 2.0 + smooth) / denom
         dice = ((1.0 - coef.mean(axis=0)) * weight).sum()
     data = np.asarray(w_ce * ce + w_dice * dice)
+    node = _grad_node(logits)
+    logits_shape = logits.shape
 
     def backward(g, acc):
-        gx = np.zeros_like(x)
+        gx = np.zeros((c, s, n))
         if w_ce:
             gx += (p - onehot) * (valid * (w_ce * weight / np.maximum(n_valid, 1))[:, None])
         if w_dice:
@@ -583,6 +680,6 @@ def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
             gp = ((2.0 * onehot - coef[..., None])
                   * (-w_dice * weight / (c * denom))[..., None] * valid)
             gx += p * (gp - (gp * p).sum(axis=0))
-        acc(logits, np.moveaxis(gx * g, 0, -1).reshape(logits.shape))
+        acc(node, np.moveaxis(gx * g, 0, -1).reshape(logits_shape))
 
-    return Tensor._from_op(data, (logits,), backward, "ce_dice")
+    return Tensor._from_op(data, (node,), backward, "ce_dice")

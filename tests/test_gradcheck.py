@@ -17,6 +17,12 @@ def test_passes_on_smooth_function():
     assert report.max_rel_err <= 1e-4
 
 
+def test_size_one_output_that_is_not_0d():
+    x = Tensor(np.random.default_rng(1).normal(size=(3,)))
+    report = gradcheck(lambda t: (t * t).sum().reshape(1, 1), x)
+    assert report.passed
+
+
 def test_catches_wrong_gradient():
     y = Tensor(np.random.default_rng(2).normal(size=(3,)))
 
@@ -56,9 +62,10 @@ def test_nan_gradient_fails():
 
     def nan_grad(t):
         out = (t * t).sum()
-        inner = out._backward
-        if inner is not None:  # only the taped evaluation has a backward
-            out._backward = lambda g, acc: inner(g * np.nan, acc)
+        node = out._node
+        if node is not None:  # only the taped evaluation has a tape node
+            inner = node._backward
+            node._backward = lambda g, acc: inner(g * np.nan, acc)
         return out
 
     report = gradcheck(nan_grad, x)

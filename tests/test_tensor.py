@@ -3,6 +3,7 @@ broadcasting, and error behavior; and the test-only ops of ``ref_ops``."""
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +146,82 @@ def test_backward_releases_tape():
     y = x * x
     y.backward()
     assert y._parents == ()
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_frozen_linear_output_is_freed_when_the_caller_drops_it():
+    rng = np.random.default_rng(0)
+    bias = Tensor(rng.normal(size=5), requires_grad=True)
+    y = T.linear(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 5))))
+    freed = weakref.ref(_owner(y.data))
+    loss = (y + bias).sum()
+    del y
+    assert freed() is None
+    loss.backward()
+    assert np.array_equal(bias.grad, np.full(5, 4.0))
+
+
+def test_trainable_linear_keeps_its_input_until_backward():
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3))) * 2.0
+    x_data = x.data.copy()
+    kept = weakref.ref(_owner(x.data))
+    loss = T.linear(x, w).sum()
+    del x
+    assert kept() is not None
+    loss.backward()
+    assert kept() is None
+    assert np.array_equal(w.grad, x_data.T @ np.ones((4, 5)))
+
+
+def _every_op_loss(rng, params):
+    """A loss through all of the model's ops; only ``params`` and the loss
+    outlive the call."""
+    w, w0, a, b, gamma, beta = params
+    x = Tensor(rng.normal(size=(2, 5, 6)))
+    h = T.gelu(T.linear(x, w)) + T.lora_linear(x, w0, None, a, b, 0.5)
+    h = T.attention(*[T.layer_norm(h, gamma, beta, 1e-6)] * 3, heads=2, scale=0.5)
+    h = T.concat([T.relu(h), T.sigmoid(h)[:, ::-1]], axis=-1)
+    h = T.matmul(h.reshape(10, 16), Tensor(rng.normal(size=(16, 3))))
+    h = T.softmax(h.transpose(1, 0), axis=0).transpose(1, 0) * 2.0
+    onehot = np.eye(3)[rng.integers(0, 3, size=(2, 5))].transpose(2, 0, 1)
+    return T.ce_dice(h.reshape(2, 5, 3), onehot, np.ones((2, 5)), 1.0, 0.5, 1.0) + h.sum()
+
+
+def test_no_saved_array_survives_backward():
+    rng = np.random.default_rng(2)
+    params = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in [(6, 8), (6, 8), (2, 6), (8, 2), (8,), (8,)]]
+    params[1].requires_grad = False  # the frozen base weight of the LoRA projection
+    loss = _every_op_loss(rng, params)
+    held = {id(_owner(p.data)) for p in params}
+    saved, ops, seen, stack = [], set(), set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Tensor) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops.add(node._op)
+        for cell in node._backward.__closure__ or ():
+            value = cell.cell_contents
+            # the only Tensors a closure holds are trainable leaves, which
+            # are their own nodes
+            assert not isinstance(value, Tensor) or any(
+                value is p for p in node._parents), node._op
+            if isinstance(value, np.ndarray) and id(_owner(value)) not in held:
+                saved.append(weakref.ref(_owner(value)))
+        stack.extend(node._parents)
+    assert len(ops) == 17 and all(r() is not None for r in saved)
+    loss.backward()
+    assert [r() for r in saved if r() is not None] == []
+    assert all(p.grad is not None for p in params if p.requires_grad)
 
 
 def test_no_grad_deposited_on_constants():
