@@ -47,6 +47,19 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.from_json_file(path)
 
 
+def _check_vocab(vocab: ClassVocabulary, cfg: RunConfig) -> None:
+    """Reject a vocabulary the model of ``cfg`` cannot score: embeddings not
+    of width d_t or, for the text-free head, another class count."""
+    if vocab.dim != cfg.model.d_t:
+        raise UsageError(
+            f"class embedding dim {vocab.dim} does not match the model's d_t "
+            f"{cfg.model.d_t}")
+    if not cfg.model.enable_text and vocab.num_classes != cfg.model.num_classes:
+        raise UsageError(
+            f"{vocab.num_classes} classes do not match the text-free head's "
+            f"{cfg.model.num_classes}")
+
+
 def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary:
     """The vocabulary of --classes, else the checkpoint's sibling classes.json,
     else ``class_names``; checked against the loaded model's config."""
@@ -58,14 +71,7 @@ def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary
         raise UsageError("no class vocabulary available; pass --classes")
     else:
         vocab = ClassVocabulary.from_names(class_names, cfg.model.d_t, cfg.backbone_seed)
-    if vocab.dim != cfg.model.d_t:
-        raise UsageError(
-            f"class embedding dim {vocab.dim} does not match checkpoint d_t "
-            f"{cfg.model.d_t}")
-    if not cfg.model.enable_text and vocab.num_classes != cfg.model.num_classes:
-        raise UsageError(
-            f"{vocab.num_classes} classes do not match the text-free head's "
-            f"{cfg.model.num_classes}")
+    _check_vocab(vocab, cfg)
     return vocab
 
 
@@ -106,6 +112,7 @@ def cmd_train(args) -> int:
     if vocab.num_classes != cfg.model.num_classes:
         cfg.model.num_classes = vocab.num_classes
         cfg.validate()
+    _check_vocab(vocab, cfg)
     cfg.train.check_ignore_label(vocab.num_classes)
     model = RgbtSegModel(cfg)
 

@@ -72,12 +72,11 @@ class TwoWayLayer:
 
 
 class MaskDecoder:
-    """``forward`` runs ``prelude`` (the token stack and the dense and
-    positional embeddings), ``two_way_transformer``, then ``tail``:
-    ``upscale_masks`` followed by ``classify`` (the text path,
-    ``class_logits`` and the class-order gather). A caller holding the two-way
-    grid or the upscaled features can enter at ``tail`` or ``classify`` and
-    re-run only what follows."""
+    """``forward`` runs three stages: ``two_way_transformer`` on the encoder
+    output, ``upscale_masks`` on the refined grid, and ``classify`` on the
+    upscaled features (the text path, ``class_logits`` and the class-order
+    gather, or the text-free head). A caller holding one stage's input can
+    run that stage and those after it."""
 
     def __init__(self, reg: ParamRegistry, cfg, prompt_encoder: PromptEncoder,
                  seed: int):
@@ -130,11 +129,14 @@ class MaskDecoder:
 
     # -- stages ----------------------------------------------------------------
 
-    def two_way_transformer(self, e_s: Tensor, e_p: Tensor, e_t: Tensor):
-        hp, wp, _ = e_s.shape[-3:]
-        img = grid_to_tokens(e_s)
-        pe = grid_to_tokens(e_p)
-        tokens = e_t
+    def two_way_transformer(self, e_en: Tensor, sparse: Tensor) -> Tensor:
+        """The refined image grid [..., Hp, Wp, d] from the encoder output
+        ``e_en`` plus the dense embedding, with the positional grid on the
+        image side and the [iou, mask..., sparse...] token stack."""
+        hp, wp, _ = e_en.shape[-3:]
+        img = grid_to_tokens(e_en + self.prompt_encoder.dense)
+        pe = grid_to_tokens(self.prompt_encoder.positional_grid(hp, wp))
+        tokens = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
         for layer in self.layers:
             tokens, img = layer(tokens, img, pe)
         return tokens_to_grid(img, hp, wp)
@@ -144,21 +146,19 @@ class MaskDecoder:
 
     def text_cross_attention(self, e_mask: Tensor, et: Tensor, keys: Tensor) -> Tensor:
         """Per-pixel attention over class text embeddings ``et`` [C, d_t] with
-        keys ``keys`` = et W_K; weights softmax over the class axis, output is
-        the attention-weighted value rows. The output has no class axis."""
+        keys ``keys`` = et W_K: one head of the fused ``attention`` node, with
+        the pixels as queries and the value rows et W_V. The output has no
+        class axis."""
         *lead, hu, wu, dm = e_mask.shape
         q = T.matmul(e_mask.reshape(-1, dm), self.w_q)
-        v = T.matmul(et, self.w_v)
-        attn = T.softmax(T.matmul(q, keys.transpose(1, 0)) * (1.0 / np.sqrt(self.cfg.d_k)),
-                         axis=-1)
-        return T.matmul(attn, v).reshape(*lead, hu, wu, self.cfg.d_v)
+        f_text = T.attention(q, keys, T.matmul(et, self.w_v), 1,
+                             1.0 / np.sqrt(self.cfg.d_k))
+        return f_text.reshape(*lead, hu, wu, self.cfg.d_v)
 
-    def class_logits(self, e_mask: Tensor, f_text: Tensor | None, keys: Tensor | None,
+    def class_logits(self, e_mask: Tensor, f_text: Tensor, keys: Tensor,
                      out_size: tuple[int, int]) -> Tensor:
-        """Per-class scores [..., H, W, C] at ``out_size``; with the text path
+        """Per-class scores [..., H, W, C] at ``out_size`` from the text path;
         the classes come in the row order of ``keys``."""
-        if not self.enable_text:
-            return bilinear_resize(self.head(e_mask), *out_size)
         feats = self.head(T.concat([e_mask, f_text], axis=-1))
         low = T.matmul(feats.reshape(-1, self.cfg.d_k), keys.transpose(1, 0))
         low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(*e_mask.shape[:-1],
@@ -171,7 +171,7 @@ class MaskDecoder:
         features ``e_mask``: the text path (text cross-attention and
         ``class_logits``) or, without it, the per-class linear head."""
         if not self.enable_text:
-            return self.class_logits(e_mask, None, None, out_size)
+            return bilinear_resize(self.head(e_mask), *out_size)
         # Run every class-axis matmul in canonical (name-sorted) order and
         # only reorder channels at the very end: BLAS kernels are not bitwise
         # permutation-equivariant, but a gather is exact, so permuting the
@@ -183,24 +183,10 @@ class MaskDecoder:
         logits = self.class_logits(e_mask, f_text, keys, out_size)
         return logits[..., np.argsort(order)]
 
-    def tail(self, e_m: Tensor, vocab: ClassVocabulary,
-             out_size: tuple[int, int]) -> Tensor:
-        """Logits from the two-way transformer's image grid ``e_m``:
-        ``upscale_masks``, then ``classify``."""
-        return self.classify(self.upscale_masks(e_m), vocab, out_size)
-
     # -- full pass ---------------------------------------------------------------
-
-    def prelude(self, e_en: Tensor, sparse: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """The two-way transformer's inputs: image + dense embedding, the
-        positional grid, and the [iou, mask..., sparse...] token stack."""
-        hp, wp, _ = e_en.shape[-3:]
-        e_s = e_en + self.prompt_encoder.dense
-        e_p = self.prompt_encoder.positional_grid(hp, wp)
-        e_t = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
-        return e_s, e_p, e_t
 
     def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
                 out_size: tuple[int, int]) -> DecoderOutputs:
-        e_m = self.two_way_transformer(*self.prelude(e_en, sparse))
-        return DecoderOutputs(logits=self.tail(e_m, vocab, out_size))
+        e_m = self.two_way_transformer(e_en, sparse)
+        return DecoderOutputs(logits=self.classify(self.upscale_masks(e_m), vocab,
+                                                   out_size))

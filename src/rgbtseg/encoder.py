@@ -59,10 +59,9 @@ class DffmBlock:
 
 class RgbtEncoder:
     """With fusion enabled, ``forward`` is the two patch embeddings followed
-    by ``run_stages``, a loop over ``stage(i, f_dffm, f_tb)``: fusion block i,
-    then transformer block i, returning both streams. ``run_stages`` can also
-    start at stage k from the streams entering it, so a caller holding them
-    re-runs only stages k and later."""
+    by a loop over ``stage(i, f_dffm, f_tb)``: fusion block i, then
+    transformer block i, returning both streams. A caller holding the streams
+    entering stage k can run stages k and later itself."""
 
     def __init__(self, reg: ParamRegistry, cfg, seed: int):
         self.cfg = cfg
@@ -105,7 +104,9 @@ class RgbtEncoder:
             for block in self.blocks:
                 tokens = block(tokens)
             return tokens_to_grid(tokens[..., :hp * wp, :], hp, wp)
-        return self.run_stages(f_dffm, f_tb)
+        for i in range(len(self.blocks)):
+            f_dffm, f_tb = self.stage(i, f_dffm, f_tb)
+        return f_tb
 
     def stage(self, i: int, f_dffm: Tensor, f_tb: Tensor) -> tuple[Tensor, Tensor]:
         """Fusion stage ``i``: fusion block i, then transformer block i on the
@@ -114,11 +115,3 @@ class RgbtEncoder:
         f_dffm = self.dffm[i](f_dffm, f_tb)
         f_tb = tokens_to_grid(self.blocks[i](grid_to_tokens(f_tb + f_dffm)), hp, wp)
         return f_dffm, f_tb
-
-    def run_stages(self, f_dffm: Tensor, f_tb: Tensor, start: int = 0) -> Tensor:
-        """Fusion stages ``start``, ..., depth - 1 on the streams entering stage
-        ``start``; returns the image embedding grid. ``forward`` enters at 0
-        with the thermal and RGB patch embeddings."""
-        for i in range(start, len(self.blocks)):
-            f_dffm, f_tb = self.stage(i, f_dffm, f_tb)
-        return f_tb

@@ -47,8 +47,7 @@ class Linear:
 
     def __init__(self, reg: ParamRegistry, name: str, d_in: int, d_out: int,
                  rng: np.random.Generator, frozen: bool = False,
-                 bias: bool = True, init_std: float | None = None,
-                 zero_init: bool = False):
+                 init_std: float | None = None, zero_init: bool = False):
         self.d_in, self.d_out = d_in, d_out
         if zero_init:
             w = np.zeros((d_in, d_out))
@@ -56,9 +55,7 @@ class Linear:
             std = init_std if init_std is not None else 1.0 / np.sqrt(d_in)
             w = rng.normal(0.0, std, size=(d_in, d_out))
         self.W = reg.register(f"{name}.W", Tensor(w), frozen)
-        self.b = None
-        if bias:
-            self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
+        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
@@ -67,16 +64,16 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, reg: ParamRegistry, name: str, d: int,
-                 frozen: bool = False, eps: float = 1e-6):
-        if d < 1 or eps <= 0:
-            raise ConfigError("layer_norm needs d >= 1 and eps > 0")
-        self.eps = eps
+    EPS = 1e-6
+
+    def __init__(self, reg: ParamRegistry, name: str, d: int, frozen: bool = False):
+        if d < 1:
+            raise ConfigError("layer_norm needs d >= 1")
         self.gamma = reg.register(f"{name}.gamma", Tensor(np.ones(d)), frozen)
         self.beta = reg.register(f"{name}.beta", Tensor(np.zeros(d)), frozen)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta, self.EPS)
 
 
 class MultiHeadAttention:

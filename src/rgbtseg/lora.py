@@ -28,7 +28,7 @@ class LoraLinear:
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, rank: int,
                  alpha: float | None, rng: np.random.Generator,
-                 base_frozen: bool = True, bias: bool = True):
+                 base_frozen: bool = True):
         if rank < 1 or rank >= d:
             raise LoraConfigError(f"rank must satisfy 1 <= r < d, got r={rank}, d={d}")
         self.d, self.rank = d, rank
@@ -37,9 +37,7 @@ class LoraLinear:
         std = 1.0 / np.sqrt(d)
         self.W0 = reg.register(f"{name}.W0", Tensor(rng.normal(0.0, std, (d, d))),
                                frozen=base_frozen)
-        self.b0 = None
-        if bias:
-            self.b0 = reg.register(f"{name}.b0", Tensor(np.zeros(d)), frozen=base_frozen)
+        self.b0 = reg.register(f"{name}.b0", Tensor(np.zeros(d)), frozen=base_frozen)
         self.A = reg.register(f"{name}.lora.A",
                               Tensor(rng.normal(0.0, 1.0 / np.sqrt(rank), (rank, d))),
                               frozen=False)

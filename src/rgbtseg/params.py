@@ -33,12 +33,6 @@ class ParamRegistry:
         self._entries[name] = (tensor, frozen)
         return tensor
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, name: str) -> Tensor:
         return self._entries[name][0]
 

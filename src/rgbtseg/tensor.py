@@ -16,13 +16,13 @@ that node has run.
 
 The tape holds only the ops the model runs. Besides the elementary ones
 (``+``, ``*``, indexing, ``reshape``, ``transpose``, ``sum``, ``matmul``,
-``relu``, ``sigmoid``, ``gelu``, ``softmax`` and ``concat``) there are fused
-nodes for the model's hot blocks:
-``linear``, ``lora_linear``, ``layer_norm``, the multi-head ``attention``
-core and the segmentation loss ``ce_dice``. Each is one tape node with a
-hand-written backward. Each layer node's forward runs the same numpy ops in
-the same order as the elementary-op composition it replaces, so the model's
-forward values are bitwise unchanged; the loss node reduces over a
+``relu``, ``sigmoid``, ``gelu`` and ``concat``) there are fused nodes for the
+model's hot blocks: ``linear``, ``lora_linear``, ``layer_norm``, the
+multi-head ``attention`` core (also the decoder's one-head text
+cross-attention) and the segmentation loss ``ce_dice``. Each is one tape node
+with a hand-written backward. Each layer node's forward runs the same numpy
+ops in the same order as the elementary-op composition it replaces, so the
+model's forward values are bitwise unchanged; the loss node reduces over a
 class-major layout, so a loss value may differ from that composition's by
 rounding. In-place steps reuse buffers only where they swap the two operands
 of one product or sum, which IEEE arithmetic leaves bitwise unchanged.
@@ -258,8 +258,6 @@ class Tensor:
         return Tensor._from_op(np.asarray(self.data[index]), (node,), backward, "index")
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         node = _grad_node(self)
         old = self.shape
         data = self.data.reshape(shape)
@@ -270,8 +268,6 @@ class Tensor:
         return Tensor._from_op(data, (node,), backward, "reshape")
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         node = _grad_node(self)
         inv = np.argsort(axes)
 
@@ -292,13 +288,8 @@ class Tensor:
 
         return Tensor._from_op(np.asarray(data), (node,), backward, "sum")
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.shape[a] for a in axis]))
-        else:
-            n = self.shape[axis]
+    def mean(self, axis: int | None = None, keepdims: bool = False):
+        n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- autodiff -------------------------------------------------------------
@@ -307,7 +298,10 @@ class Tensor:
         """Backpropagate from a scalar, populating leaf ``grad`` buffers.
 
         Each node's closure and parent links are released as soon as that node
-        has run, so what it saved is freed during the walk.
+        has run, so what it saved is freed during the walk. A graph that
+        reaches a node an earlier ``backward()`` released raises RuntimeError
+        naming its op before any gradient is deposited: the gradient through
+        it is gone.
         """
         if self.size != 1:
             raise ShapeError(
@@ -326,6 +320,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if not isinstance(node, Tensor) and node._backward is None:
+                raise RuntimeError(
+                    f"backward through op '{node._op}' a second time: an earlier "
+                    "backward() released it")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -353,7 +351,7 @@ class Tensor:
                 continue
             backward = node._backward
             node._backward, node._parents = None, ()
-            if g is not None and backward is not None:
+            if g is not None:
                 backward(g, acc)
 
 
@@ -451,22 +449,6 @@ def gelu(x: Tensor) -> Tensor:
         acc(node, gx)
 
     return Tensor._from_op(data, (node,), backward, "gelu")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtracted)."""
-    x = Tensor._coerce(x)
-    node = _grad_node(x)
-    data = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
-
-    def backward(g, acc):
-        gx = g - (g * data).sum(axis=axis, keepdims=True)
-        gx *= data
-        acc(node, gx)
-
-    return Tensor._from_op(data, (node,), backward, "softmax")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -590,10 +572,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
-    """Multi-head ``softmax(q kᵀ · scale) v`` of projected queries [..., nq, d]
-    and keys/values [..., nk, d]: the last axis splits into ``heads`` heads,
-    which merge back in the output [..., nq, d]. Leading axes broadcast, so one
-    unbatched query stack can attend over a batch."""
+    """Multi-head ``softmax(q kᵀ · scale) v`` of projected queries [..., nq, d],
+    keys [..., nk, d] and values [..., nk, d_v]; ``v`` may have its own width.
+    The last axis of each splits into ``heads`` heads, which merge back in the
+    output [..., nq, d_v]. The softmax subtracts each row's maximum first.
+    Leading axes broadcast, so one unbatched query stack can attend over a
+    batch."""
 
     def split(t):  # [..., n, d] -> [..., heads, n, d / heads]
         return np.swapaxes(t.reshape(*t.shape[:-1], heads, -1), -3, -2)

@@ -487,3 +487,67 @@ def test_nan_parameter_exits_3_naming_the_op(short_run, dataset, tmp_path, capsy
     assert err.startswith("numeric abort: non-finite value produced by op '")
     assert len(err.splitlines()) == 1
     assert out == ""
+
+
+def _vocab_file(tmp_path, num_classes, dim):
+    path = tmp_path / f"classes_{num_classes}x{dim}.json"
+    save_text_embeddings(path, ClassVocabulary.from_names(
+        [f"class_{i}" for i in range(num_classes)], dim))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "infer"])
+def test_class_embedding_dim_mismatch_exits_2_before_any_output(short_run, dataset,
+                                                                tmp_path, capsys, command):
+    out = tmp_path / "o"
+    ckpt = str(short_run / "checkpoint.tseg")
+    argv = {"train": ["train", "--data", str(dataset), "--steps", "1"],
+            "eval": ["eval", "--ckpt", ckpt, "--data", str(dataset)],
+            "infer": ["infer", "--ckpt", ckpt,
+                      "--rgb", str(dataset / "sample_0000_rgb.ppm"),
+                      "--thermal", str(dataset / "sample_0000_th.pgm")]}[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--classes", _vocab_file(tmp_path, 4, 16),
+                            "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: class embedding dim 16 does not match "
+                                   f"the model's d_t {RunConfig().model.d_t}\n")
+    assert not out.exists()
+
+
+def test_eval_split_selects_its_samples_and_an_absent_tag_warns(short_run, dataset,
+                                                                 tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    for sample in doc["samples"][:2]:
+        sample["split"] = "test"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    results = tmp_path / "r.json"
+    for split, counts, err in [
+            ("test", {"test": 2, "overall": 2}, ""),
+            ("night", {"test": 2, "train": 4, "overall": 6},
+             "warning: no samples tagged 'night'; evaluating all samples as one split\n")]:
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
+                         "--data", str(data), "--split", split,
+                         "--out", str(results)]) == 0
+        assert capsys.readouterr().err == err
+        doc = json.loads(results.read_text())
+        assert {name: row["num_samples"] for name, row in doc.items()} == counts
+
+
+def test_train_classes_resize_the_text_free_head_and_the_run_evaluates(dataset, tmp_path):
+    cfg = RunConfig()
+    cfg.model.enable_text = False
+    config = tmp_path / "text_free.json"
+    config.write_text(cfg.to_json())
+    run = tmp_path / "run"
+    assert cli.main(["train", "--data", str(dataset), "--out", str(run),
+                     "--config", str(config), "--steps", "1",
+                     "--classes", _vocab_file(tmp_path, 5, cfg.model.d_t)]) == 0
+    assert json.loads((run / "config.json").read_text())["model"]["num_classes"] == 5
+    results = tmp_path / "r.json"
+    assert cli.main(["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                     "--data", str(dataset), "--out", str(results)]) == 0
+    per_class = json.loads(results.read_text())["overall"]["per_class"]
+    assert list(per_class) == [f"class_{i}" for i in range(5)]

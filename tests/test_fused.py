@@ -26,6 +26,12 @@ def _layer_norm_ref(x, gamma, beta, eps):
     return centered * pow(var + eps, -0.5) * gamma + beta
 
 
+def _softmax_ref(x):
+    """Softmax over the last axis, max-subtracted, from elementary ops."""
+    e = exp(sub(x, Tensor(x.data.max(axis=-1, keepdims=True))))
+    return div(e, e.sum(axis=-1, keepdims=True))
+
+
 def _attention_ref(q, k, v, heads, scale):
     def split(t):
         lead = t.ndim - 1
@@ -35,7 +41,7 @@ def _attention_ref(q, k, v, heads, scale):
     qh, kh, vh = split(q), split(k), split(v)
     lead = kh.ndim - 3
     kt = kh.transpose(*range(lead), lead, lead + 2, lead + 1)
-    out = T.matmul(T.softmax(T.matmul(qh, kt) * scale, axis=-1), vh)
+    out = T.matmul(_softmax_ref(T.matmul(qh, kt) * scale), vh)
     lead = out.ndim - 3
     out = out.transpose(*range(lead), lead + 1, lead, lead + 2)
     return out.reshape(*out.shape[:-2], -1)
@@ -53,7 +59,7 @@ def _ce_dice_ref(logits, onehot, valid, w_ce, w_dice, smooth):
     lse = log(exp(sub(x, xmax)).sum(axis=-1, keepdims=True)) + xmax
     per_pixel = sub(lse, (x * y).sum(axis=-1, keepdims=True)) * mask
     ce = (per_pixel.sum(axis=(-2, -1)) * Tensor(weight / np.maximum(n_valid, 1))).sum()
-    probs = T.softmax(x, axis=-1) * mask
+    probs = _softmax_ref(x) * mask
     coef = div((probs * y).sum(axis=-2) * 2.0 + smooth,
                probs.sum(axis=-2) + y.sum(axis=-2) + smooth)
     dice = (sub(1.0, coef.mean(axis=-1)) * Tensor(weight)).sum()

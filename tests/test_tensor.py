@@ -61,17 +61,29 @@ def test_matmul_shape_error():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
+def _attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """One-head attention softmax weights: with the identity as values, each
+    output row is that query's weights over the keys."""
+    return T.attention(Tensor(q), Tensor(k), Tensor(np.eye(len(k))), 1, scale).data
+
+
 def test_softmax_rows_sum_to_one():
-    x = Tensor(np.random.default_rng(2).normal(size=(3, 7)) * 50)
-    s = T.softmax(x, axis=-1).data
+    # scores of about 1e3 must not overflow the attention softmax
+    rng = np.random.default_rng(2)
+    s = _attention_weights(rng.normal(size=(3, 4)), rng.normal(size=(7, 4)), 1e3)
+    assert s.shape == (3, 7)
+    assert np.isfinite(s).all() and (s >= 0).all()
     assert np.allclose(s.sum(axis=-1), 1.0)
-    assert (s >= 0).all()
 
 
 def test_softmax_shift_invariance():
-    x = np.random.default_rng(3).normal(size=(4, 5))
-    a = T.softmax(Tensor(x), axis=-1).data
-    b = T.softmax(Tensor(x + 1000.0), axis=-1).data
+    # an extra feature, 1 on every query and 1000 on every key, adds 1000
+    # to each score of a row alike; the attention weights must not move
+    rng = np.random.default_rng(3)
+    q, k = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+    a = _attention_weights(q, k, 1.0)
+    b = _attention_weights(np.hstack([q, np.ones((4, 1))]),
+                           np.hstack([k, np.full((5, 1), 1000.0)]), 1.0)
     assert np.allclose(a, b)
 
 
@@ -148,6 +160,21 @@ def test_backward_releases_tape():
     assert y._parents == ()
 
 
+def test_backward_through_a_released_node_raises_naming_its_op():
+    x = Tensor(np.ones(2), requires_grad=True)
+    h = x * 2.0
+    l1 = h.sum()
+    l2 = (h * 3.0).sum()
+    l1.backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])
+    # the gradient through h is gone; none of l2's reaches x
+    with pytest.raises(RuntimeError, match="op 'mul' a second time"):
+        l2.backward()
+    with pytest.raises(RuntimeError, match="op 'sum' a second time"):
+        l1.backward()
+    assert np.array_equal(x.grad, [2.0, 2.0])
+
+
 def _owner(a: np.ndarray) -> np.ndarray:
     """The array that owns ``a``'s memory."""
     while a.base is not None:
@@ -190,7 +217,7 @@ def _every_op_loss(rng, params):
     h = T.attention(*[T.layer_norm(h, gamma, beta, 1e-6)] * 3, heads=2, scale=0.5)
     h = T.concat([T.relu(h), T.sigmoid(h)[:, ::-1]], axis=-1)
     h = T.matmul(h.reshape(10, 16), Tensor(rng.normal(size=(16, 3))))
-    h = T.softmax(h.transpose(1, 0), axis=0).transpose(1, 0) * 2.0
+    h = (h.transpose(1, 0) * 2.0).transpose(1, 0)
     onehot = np.eye(3)[rng.integers(0, 3, size=(2, 5))].transpose(2, 0, 1)
     return T.ce_dice(h.reshape(2, 5, 3), onehot, np.ones((2, 5)), 1.0, 0.5, 1.0) + h.sum()
 
@@ -218,7 +245,7 @@ def test_no_saved_array_survives_backward():
             if isinstance(value, np.ndarray) and id(_owner(value)) not in held:
                 saved.append(weakref.ref(_owner(value)))
         stack.extend(node._parents)
-    assert len(ops) == 17 and all(r() is not None for r in saved)
+    assert len(ops) == 16 and all(r() is not None for r in saved)
     loss.backward()
     assert [r() for r in saved if r() is not None] == []
     assert all(p.grad is not None for p in params if p.requires_grad)

@@ -1,11 +1,13 @@
 """The suite checks the ops the model runs, and the full-model check resumes
-each pick's finite differences at the first stage that reads the pick, from
-stage inputs computed once; that must not change the report."""
+each pick's finite differences at the first stage of ``verify.stage_chain``
+that reads the pick, from stage inputs computed once; that must not change
+the report."""
 
 from pathlib import Path
 
 import numpy as np
 
+from rgbtseg import tensor as T
 from rgbtseg import verify
 from rgbtseg.config import RunConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
@@ -23,7 +25,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # be added here and get a check in ``verify.op_checks``.
 MODEL_OPS = {"add", "attention", "ce_dice", "concat", "gelu", "index", "layer_norm",
              "linear", "lora_linear", "matmul", "mul", "relu", "reshape", "sigmoid",
-             "softmax", "sum", "transpose"}
+             "sum", "transpose"}
 
 
 def test_the_model_runs_exactly_the_listed_ops(monkeypatch):
@@ -54,43 +56,47 @@ def test_split_report_equals_one_check_of_the_full_forward():
     report = verify.full_model_check(seed, max_coords_per_input=1)
 
     model, rgb, th, vocab, labels = verify.full_model_setup(seed)
-    picks = verify.ENCODER_PICKS + verify.DECODER_PICKS
     reference = gradcheck(
         lambda *_: total_loss(model.forward(rgb, th, vocab).logits, labels),
-        [model.registry.get(n) for n in picks], tol=1e-4,
+        [model.registry.get(n) for n in verify.PICKS], tol=1e-4,
         max_coords_per_input=1, rng=np.random.default_rng(seed + 1))
 
     assert len(report.per_input) == 16
     assert report == reference  # every field, bitwise
 
 
-def _arrays(stage_input):
-    return [t.data for t in (stage_input if isinstance(stage_input, tuple)
-                             else (stage_input,))]
+def _fold(chain, rgb, th):
+    """Every stage's input and the loss, computed without a tape."""
+    xs = [(rgb, th)]
+    with T.no_grad():
+        for _, step in chain:
+            xs.append(step(xs[-1]))
+    return xs
 
 
-def test_decoder_side_picks_leave_the_encoder_output_unchanged():
-    model, rgb, th, _, _ = verify.full_model_setup(0)
+def _arrays(x):
+    return [t.data for t in (x if isinstance(x, tuple) else (x,))]
+
+
+def test_each_trainable_parameter_is_first_read_by_one_stage():
+    model, rgb, th, vocab, labels = verify.full_model_setup(0)
     sparse = model.prompt_encoder.encode_points(PointPrompt([]), rgb.shape[-3:-1])
-    x = verify.stage_inputs(model, rgb, th, sparse)
-    stages = list(x)
+    chain = verify.stage_chain(model, rgb, th, vocab, labels, sparse)
+    xs = _fold(chain, rgb, th)
+    # folding the chain is the model's forward and loss, bitwise
+    assert xs[-1].item() == total_loss(model.forward(rgb, th, vocab).logits,
+                                       labels).item()
     rng = np.random.default_rng(1)
-    for name in verify.ENCODER_PICKS + verify.DECODER_PICKS:
-        p = model.registry.get(name)
-        p.data[...] = rng.normal(size=p.shape)
-        after = verify.stage_inputs(model, rgb, th, sparse)
-        # the cached encoder output is the encoder's own
-        assert np.array_equal(after["decoder"].data,
-                              model.encoder.forward(rgb, th).data), name
-        start = verify.pick_start(name)
-        # "model" reads the images, which nothing computes
-        upstream = [] if start == "model" else stages[:stages.index(start) + 1]
-        if name in verify.DECODER_PICKS:
-            assert "decoder" in upstream, name
-        for key in upstream:
-            for a, b in zip(_arrays(x[key]), _arrays(after[key])):
-                assert np.array_equal(a, b), (name, key)
-        x = after
+    for name, p in model.registry.trainable():
+        stages = [k for k, (prefixes, _) in enumerate(chain) if name.startswith(prefixes)]
+        assert len(stages) == 1, (name, stages)
+        p.data += rng.normal(0.0, 0.1, p.shape)
+        after = _fold(chain, rgb, th)
+        # the inputs of the stage that first reads it and of every earlier one
+        for k in range(stages[0] + 1):
+            for a, b in zip(_arrays(xs[k]), _arrays(after[k])):
+                assert np.array_equal(a, b), (name, k)
+        xs = after
 
 
 def test_encoder_runs_once_for_the_decoder_side_group(monkeypatch):
