@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         tagged = [s for s in samples if s.split == args.split]
         if not tagged:
             print(f"warning: no samples tagged '{args.split}'; "
-                  "evaluating all samples as one split", file=sys.stderr)
+                  "evaluating every sample", file=sys.stderr)
         else:
             samples = tagged
     results = evaluate(model, vocab, samples, cfg.train.ignore_label)

@@ -13,6 +13,7 @@ dropped after the last two-way layer. The text path runs in canonical
 (name-sorted) class order and gathers the logits back into the caller's order
 at the end. With the text path disabled a plain per-class linear head replaces
 the similarity head (class-permutation equivariance then no longer applies).
+"Frozen" describes the model, which freezes by name (``params.ledger_group``).
 
 Image-side tensors keep the encoder output's leading batch axes. The token
 stack, the positional grid and the class text rows have none: they are shared
@@ -50,18 +51,15 @@ class TwoWayLayer:
                  lora_alpha: float | None):
         r1, r2, r3, r4 = rng.spawn(4)
         self.self_attn = MultiHeadAttention(reg, f"{name}.self_attn", d, heads,
-                                            r1, frozen=True,
-                                            lora_rank=lora_rank, lora_alpha=lora_alpha)
-        self.norm1 = LayerNorm(reg, f"{name}.norm1", d, frozen=True)
+                                            r1, lora_rank, lora_alpha)
+        self.norm1 = LayerNorm(reg, f"{name}.norm1", d)
         self.cross_t2i = MultiHeadAttention(reg, f"{name}.cross_t2i", d, heads,
-                                            r2, frozen=True,
-                                            lora_rank=lora_rank, lora_alpha=lora_alpha)
-        self.norm2 = LayerNorm(reg, f"{name}.norm2", d, frozen=True)
-        self.mlp = Mlp(reg, f"{name}.mlp", d, r3, frozen=True, mult=2)
-        self.norm3 = LayerNorm(reg, f"{name}.norm3", d, frozen=True)
-        self.cross_i2t = MultiHeadAttention(reg, f"{name}.cross_i2t", d, heads,
-                                            r4, frozen=True)
-        self.norm4 = LayerNorm(reg, f"{name}.norm4", d, frozen=True)
+                                            r2, lora_rank, lora_alpha)
+        self.norm2 = LayerNorm(reg, f"{name}.norm2", d)
+        self.mlp = Mlp(reg, f"{name}.mlp", d, r3, mult=2)
+        self.norm3 = LayerNorm(reg, f"{name}.norm3", d)
+        self.cross_i2t = MultiHeadAttention(reg, f"{name}.cross_i2t", d, heads, r4)
+        self.norm4 = LayerNorm(reg, f"{name}.norm4", d)
 
     def __call__(self, tokens: Tensor, img: Tensor, pe: Tensor):
         tokens = self.norm1(tokens + self.self_attn(tokens, tokens, tokens))
@@ -86,10 +84,9 @@ class MaskDecoder:
 
         rt = derive_rng(seed, "decoder.tokens")
         self.iou_token = reg.register("decoder.tokens.iou",
-                                      Tensor(rt.normal(0.0, 0.02, (1, d))), frozen=False)
+                                      Tensor(rt.normal(0.0, 0.02, (1, d))))
         self.mask_tokens = reg.register(
-            "decoder.tokens.mask",
-            Tensor(rt.normal(0.0, 0.02, (cfg.mask_tokens, d))), frozen=False)
+            "decoder.tokens.mask", Tensor(rt.normal(0.0, 0.02, (cfg.mask_tokens, d))))
 
         lora_rank = cfg.lora_rank if cfg.enable_decoder_lora else None
         self.layers = [
@@ -113,14 +110,11 @@ class MaskDecoder:
             sq = 1.0 / np.sqrt(self.d_m)
             st = 1.0
             self.w_q = reg.register("decoder.text_attn.W_Q",
-                                    Tensor(rtx.normal(0.0, sq, (self.d_m, cfg.d_k))),
-                                    frozen=False)
+                                    Tensor(rtx.normal(0.0, sq, (self.d_m, cfg.d_k))))
             self.w_k = reg.register("decoder.text_attn.W_K",
-                                    Tensor(rtx.normal(0.0, st, (cfg.d_t, cfg.d_k))),
-                                    frozen=False)
+                                    Tensor(rtx.normal(0.0, st, (cfg.d_t, cfg.d_k))))
             self.w_v = reg.register("decoder.text_attn.W_V",
-                                    Tensor(rtx.normal(0.0, st, (cfg.d_t, cfg.d_v))),
-                                    frozen=False)
+                                    Tensor(rtx.normal(0.0, st, (cfg.d_t, cfg.d_v))))
             self.head = Linear(reg, "decoder.head", self.d_m + cfg.d_v, cfg.d_k,
                                derive_rng(seed, "decoder.head"))
         else:

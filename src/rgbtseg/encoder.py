@@ -17,7 +17,8 @@ so thermal information reaches it only through the (frozen, low-rank-adapted)
 attention - there is no dedicated trainable fusion path.
 
 Images are [..., H, W, c]; every grid and token sequence keeps the images'
-leading batch axes.
+leading batch axes. "Frozen" describes the model, which freezes by name
+(``params.ledger_group``); an encoder built alone has no frozen parameter.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ class DffmBlock:
     def __init__(self, reg: ParamRegistry, name: str, d: int, se_reduction: int,
                  rng: np.random.Generator):
         r1, r2, r3 = rng.spawn(3)
-        std = self.INIT_GAIN / np.sqrt(d)
-        self.conv_prev = Linear(reg, f"{name}.conv_prev", d, d, r1, init_std=std)
-        self.conv_tb = Linear(reg, f"{name}.conv_tb", d, d, r2, init_std=std)
-        self.se = SEBlock(reg, f"{name}.se", d, se_reduction, r3,
-                          init_gain=self.INIT_GAIN)
+        self.conv_prev = Linear(reg, f"{name}.conv_prev", d, d, r1, self.INIT_GAIN)
+        self.conv_tb = Linear(reg, f"{name}.conv_tb", d, d, r2, self.INIT_GAIN)
+        self.se = SEBlock(reg, f"{name}.se", d, se_reduction, r3, self.INIT_GAIN)
         self.conv_out = Linear(reg, f"{name}.conv_out", d, d, rng, zero_init=True)
 
     def __call__(self, f_dffm: Tensor, f_tb: Tensor) -> Tensor:
@@ -67,7 +66,7 @@ class RgbtEncoder:
         self.cfg = cfg
         d, p = cfg.d, cfg.patch
         self.rgb_embed = PatchEmbed(reg, "encoder.rgb_embed", p, 3, d,
-                                    derive_rng(seed, "encoder.rgb_embed"), frozen=True)
+                                    derive_rng(seed, "encoder.rgb_embed"))
         # The thermal embedding is the only trainable entry point for the
         # thermal modality; the same short-budget argument as DffmBlock's
         # gain applies, amplified because its signal must also pass conv_tb.
@@ -76,8 +75,8 @@ class RgbtEncoder:
                                         init_gain=4.0)
         self.blocks = [
             TransformerBlock(reg, f"encoder.blocks.{i}", d, cfg.heads,
-                             derive_rng(seed, f"encoder.blocks.{i}"), frozen=True,
-                             lora_rank=cfg.lora_rank, lora_alpha=cfg.lora_alpha)
+                             derive_rng(seed, f"encoder.blocks.{i}"),
+                             cfg.lora_rank, cfg.lora_alpha)
             for i in range(cfg.depth)
         ]
         self.enable_dffm = cfg.enable_dffm

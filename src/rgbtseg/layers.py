@@ -2,7 +2,8 @@
 patch embedding, transformer blocks, 2x2 transposed conv, bilinear resize.
 
 Layers register their parameters into a ParamRegistry at construction under a
-hierarchical name prefix. Feature maps are Tensors shaped [..., H, W, d];
+hierarchical name prefix, all trainable: ``params.ledger_group`` decides what
+the model freezes. Feature maps are Tensors shaped [..., H, W, d];
 token sequences are [..., n, d]; grid<->token reshapes are bit-exact. Every
 layer takes any number of leading batch axes, and a call without one is the
 zero-leading-axes case of the same code.
@@ -46,16 +47,15 @@ class Linear:
     """Affine map on the last axis: y = x W + b. Also serves as a 1x1 conv."""
 
     def __init__(self, reg: ParamRegistry, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, frozen: bool = False,
-                 init_std: float | None = None, zero_init: bool = False):
+                 rng: np.random.Generator, init_gain: float = 1.0,
+                 zero_init: bool = False):
         self.d_in, self.d_out = d_in, d_out
         if zero_init:
             w = np.zeros((d_in, d_out))
         else:
-            std = init_std if init_std is not None else 1.0 / np.sqrt(d_in)
-            w = rng.normal(0.0, std, size=(d_in, d_out))
-        self.W = reg.register(f"{name}.W", Tensor(w), frozen)
-        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
+            w = rng.normal(0.0, init_gain / np.sqrt(d_in), size=(d_in, d_out))
+        self.W = reg.register(f"{name}.W", Tensor(w))
+        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
@@ -66,11 +66,11 @@ class Linear:
 class LayerNorm:
     EPS = 1e-6
 
-    def __init__(self, reg: ParamRegistry, name: str, d: int, frozen: bool = False):
+    def __init__(self, reg: ParamRegistry, name: str, d: int):
         if d < 1:
             raise ConfigError("layer_norm needs d >= 1")
-        self.gamma = reg.register(f"{name}.gamma", Tensor(np.ones(d)), frozen)
-        self.beta = reg.register(f"{name}.beta", Tensor(np.zeros(d)), frozen)
+        self.gamma = reg.register(f"{name}.gamma", Tensor(np.ones(d)))
+        self.beta = reg.register(f"{name}.beta", Tensor(np.zeros(d)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, self.EPS)
@@ -79,16 +79,15 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product attention with optional low-rank adapters on Q/V.
 
-    ``lora_rank``/``lora_alpha`` wrap the (frozen) Q and V projections in
-    LoraLinear; K and the output projection stay plain. ``d_q`` lets the
-    query stream differ from key/value only in token count, not width.
-    Queries are [..., nq, d] and keys/values [..., nk, d]; the leading axes
-    broadcast, so one unbatched query stack can attend over a batch.
+    ``lora_rank``/``lora_alpha`` wrap the Q and V projections in LoraLinear;
+    K and the output projection stay plain. Queries are [..., nq, d] and
+    keys/values [..., nk, d]; the leading axes broadcast, so one unbatched
+    query stack can attend over a batch.
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
-                 rng: np.random.Generator, frozen: bool = False,
-                 lora_rank: int | None = None, lora_alpha: float | None = None):
+                 rng: np.random.Generator, lora_rank: int | None = None,
+                 lora_alpha: float | None = None):
         if d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by heads {heads}")
         self.heads = heads
@@ -100,14 +99,13 @@ class MultiHeadAttention:
 
         def proj(pname, sub):
             if lora_rank is not None:
-                return LoraLinear(reg, f"{name}.{pname}", d, lora_rank,
-                                  lora_alpha, sub, base_frozen=frozen)
-            return Linear(reg, f"{name}.{pname}", d, d, sub, frozen)
+                return LoraLinear(reg, f"{name}.{pname}", d, lora_rank, lora_alpha, sub)
+            return Linear(reg, f"{name}.{pname}", d, d, sub)
 
         self.q_proj = proj("q", rq)
-        self.k_proj = Linear(reg, f"{name}.k", d, d, rk, frozen)
+        self.k_proj = Linear(reg, f"{name}.k", d, d, rk)
         self.v_proj = proj("v", rv)
-        self.out_proj = Linear(reg, f"{name}.out", d, d, ro, frozen)
+        self.out_proj = Linear(reg, f"{name}.out", d, d, ro)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         return self.out_proj(T.attention(self.q_proj(q), self.k_proj(k),
@@ -123,10 +121,8 @@ class SEBlock:
         if d % reduction != 0:
             raise ConfigError(f"channels {d} not divisible by reduction {reduction}")
         hidden = d // reduction
-        self.fc1 = Linear(reg, f"{name}.fc1", d, hidden, rng,
-                          init_std=init_gain / np.sqrt(d))
-        self.fc2 = Linear(reg, f"{name}.fc2", hidden, d, rng,
-                          init_std=init_gain / np.sqrt(hidden))
+        self.fc1 = Linear(reg, f"{name}.fc1", d, hidden, rng, init_gain)
+        self.fc2 = Linear(reg, f"{name}.fc2", hidden, d, rng, init_gain)
 
     def __call__(self, x: Tensor) -> Tensor:
         *lead, h, w, d = x.shape
@@ -135,7 +131,7 @@ class SEBlock:
         return x * gate.reshape(*lead, 1, 1, d)
 
 
-class PatchEmbed:
+class PatchEmbed(Linear):
     """Non-overlapping patchify + linear projection to a token grid.
 
     Each p x p x c patch is flattened row-major (row, col, channel) before
@@ -143,15 +139,9 @@ class PatchEmbed:
     """
 
     def __init__(self, reg: ParamRegistry, name: str, patch: int, in_ch: int,
-                 d: int, rng: np.random.Generator, frozen: bool = False,
-                 init_gain: float = 1.0):
-        self.patch, self.in_ch, self.d = patch, in_ch, d
-        k = patch * patch * in_ch
-        self.W = reg.register(
-            f"{name}.W", Tensor(rng.normal(0.0, init_gain / np.sqrt(k), size=(k, d))),
-            frozen
-        )
-        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d)), frozen)
+                 d: int, rng: np.random.Generator, init_gain: float = 1.0):
+        super().__init__(reg, name, patch * patch * in_ch, d, rng, init_gain)
+        self.patch, self.in_ch = patch, in_ch
 
     def __call__(self, img: Tensor) -> Tensor:
         *lead, h, w, c = img.shape
@@ -164,16 +154,16 @@ class PatchEmbed:
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         hp, wp = h // p, w // p
         x = _permute_trailing(img.reshape(*lead, hp, p, wp, p, c), 0, 2, 1, 3, 4)
-        return T.linear(x.reshape(*lead, hp, wp, p * p * c), self.W, self.b)
+        return super().__call__(x.reshape(*lead, hp, wp, p * p * c))
 
 
 class Mlp:
     """Transformer feed-forward: linear(d -> mult*d) -> GELU -> linear(-> d)."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int,
-                 rng: np.random.Generator, frozen: bool = False, mult: int = 4):
-        self.fc1 = Linear(reg, f"{name}.fc1", d, mult * d, rng, frozen)
-        self.fc2 = Linear(reg, f"{name}.fc2", mult * d, d, rng, frozen)
+                 rng: np.random.Generator, mult: int = 4):
+        self.fc1 = Linear(reg, f"{name}.fc1", d, mult * d, rng)
+        self.fc2 = Linear(reg, f"{name}.fc2", mult * d, d, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
@@ -183,14 +173,14 @@ class TransformerBlock:
     """Pre-norm residual block: x + MHA(LN(x)), then + MLP(LN(.))."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
-                 rng: np.random.Generator, frozen: bool = False,
-                 lora_rank: int | None = None, lora_alpha: float | None = None):
+                 rng: np.random.Generator, lora_rank: int | None = None,
+                 lora_alpha: float | None = None):
         ra, rm = rng.spawn(2)
-        self.ln1 = LayerNorm(reg, f"{name}.ln1", d, frozen)
+        self.ln1 = LayerNorm(reg, f"{name}.ln1", d)
         self.attn = MultiHeadAttention(reg, f"{name}.attn", d, heads, ra,
-                                       frozen, lora_rank, lora_alpha)
-        self.ln2 = LayerNorm(reg, f"{name}.ln2", d, frozen)
-        self.mlp = Mlp(reg, f"{name}.mlp", d, rm, frozen)
+                                       lora_rank, lora_alpha)
+        self.ln2 = LayerNorm(reg, f"{name}.ln2", d)
+        self.mlp = Mlp(reg, f"{name}.mlp", d, rm)
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln1(x)
@@ -206,13 +196,11 @@ class ConvTranspose2x2:
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, frozen: bool = False):
+                 rng: np.random.Generator):
         self.d_in, self.d_out = d_in, d_out
-        std = 1.0 / np.sqrt(d_in)
-        self.W = reg.register(
-            f"{name}.W", Tensor(rng.normal(0.0, std, size=(d_in, 4 * d_out))), frozen
-        )
-        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)), frozen)
+        self.W = reg.register(f"{name}.W", Tensor(
+            rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, 4 * d_out))))
+        self.b = reg.register(f"{name}.b", Tensor(np.zeros(d_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
         *lead, h, w, _ = x.shape

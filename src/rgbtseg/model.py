@@ -1,5 +1,6 @@
 """The full segmentation model: encoder + prompt encoder + mask decoder over
-one shared parameter registry.
+one shared parameter registry. It freezes every parameter that
+``params.ledger_group`` files under no group: the ledger is the trainable set.
 
 ``forward`` takes one image pair ([H, W, 3] and [H, W, 1]) or a batch of
 equally sized pairs ([..., H, W, 3] and [..., H, W, 1], the same leading axes
@@ -14,7 +15,7 @@ import numpy as np
 from .config import RunConfig
 from .decoder import DecoderOutputs, MaskDecoder
 from .encoder import RgbtEncoder
-from .params import ParamRegistry
+from .params import ParamRegistry, ledger_group
 from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
 from .tensor import NumericError, ShapeError, Tensor, no_grad
 
@@ -28,6 +29,8 @@ class RgbtSegModel:
         self.encoder = RgbtEncoder(self.registry, cfg.model, seed)
         self.prompt_encoder = PromptEncoder(self.registry, cfg.model.d, seed)
         self.decoder = MaskDecoder(self.registry, cfg.model, self.prompt_encoder, seed)
+        for name in [n for n, _ in self.registry.items() if ledger_group(n) is None]:
+            self.registry.freeze(name)
 
     def forward(self, rgb, th, vocab: ClassVocabulary,
                 points: PointPrompt | None = None) -> DecoderOutputs:

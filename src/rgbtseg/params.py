@@ -1,5 +1,7 @@
 """Named parameter registry with frozen/trainable bookkeeping, and the
-trainable-parameter ledger."""
+trainable-parameter ledger. ``ledger_group`` alone decides what trains:
+layers register every tensor as trainable, and ``RgbtSegModel`` freezes each
+name that no ledger group claims."""
 
 from __future__ import annotations
 
@@ -18,20 +20,25 @@ class DuplicateParamError(ValueError):
 class ParamRegistry:
     """Ordered mapping of hierarchical parameter names to tensors.
 
-    Frozen entries never receive gradients (``requires_grad`` stays False)
-    and never enter optimizer state; their bitwise constancy across training
-    is a tested invariant.
+    Entries register as trainable until ``freeze``. Frozen entries never
+    receive gradients (``requires_grad`` is False) and never enter optimizer
+    state; their bitwise constancy across training is a tested invariant.
     """
 
     def __init__(self):
         self._entries: dict[str, tuple[Tensor, bool]] = {}
 
-    def register(self, name: str, tensor: Tensor, frozen: bool) -> Tensor:
+    def register(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._entries:
             raise DuplicateParamError(f"parameter '{name}' already registered")
-        tensor.requires_grad = not frozen
-        self._entries[name] = (tensor, frozen)
+        tensor.requires_grad = True
+        self._entries[name] = (tensor, False)
         return tensor
+
+    def freeze(self, name: str) -> None:
+        tensor = self._entries[name][0]
+        tensor.requires_grad = False
+        self._entries[name] = (tensor, True)
 
     def get(self, name: str) -> Tensor:
         return self._entries[name][0]
@@ -98,7 +105,8 @@ LEDGER_GROUPS = [
 ]
 
 
-def _classify(name: str) -> str | None:
+def ledger_group(name: str) -> str | None:
+    """The ledger group of a trainable parameter; None for a frozen one."""
     if name.startswith("encoder.thermal_embed"):
         return "thermal_patch_embed"
     if name.startswith("encoder.dffm"):
@@ -111,7 +119,7 @@ def _classify(name: str) -> str | None:
         return "decoder_heads"
     if name.startswith("decoder.text_attn"):
         return "text_attention"
-    if name.startswith("prompt.") or name.startswith("decoder.tokens"):
+    if name.startswith(("prompt.point_labels", "prompt.dense", "decoder.tokens")):
         return "prompt_embeddings"
     return None
 
@@ -140,9 +148,7 @@ def param_ledger(registry) -> LedgerReport:
         if frozen:
             report.frozen_total += tensor.size
             continue
-        group = _classify(name)
-        if group is None:
-            raise KeyError(f"trainable parameter '{name}' fits no ledger group")
+        group = ledger_group(name)
         report.groups[group] = report.groups.get(group, 0) + tensor.size
         report.trainable_total += tensor.size
     return report

@@ -149,12 +149,11 @@ class PromptEncoder:
         self.d = d
         rng = derive_rng(seed, "prompt.fourier")
         self.fourier = reg.register("prompt.fourier",
-                                    Tensor(rng.normal(size=(2, d // 2))), frozen=True)
+                                    Tensor(rng.normal(size=(2, d // 2))))
         rl = derive_rng(seed, "prompt.point_labels")
         self.point_labels = reg.register(
-            "prompt.point_labels", Tensor(rl.normal(0.0, 0.02, size=(2, d))),
-            frozen=False)
-        self.dense = reg.register("prompt.dense", Tensor(np.zeros(d)), frozen=False)
+            "prompt.point_labels", Tensor(rl.normal(0.0, 0.02, size=(2, d))))
+        self.dense = reg.register("prompt.dense", Tensor(np.zeros(d)))
 
     def _fourier_encode(self, coords01: np.ndarray) -> np.ndarray:
         proj = 2.0 * np.pi * coords01 @ self.fourier.data

@@ -1,5 +1,5 @@
 """Gradient verification suite: every differentiable op the model runs against
-central differences, plus the full encoder -> decoder -> loss composition.
+central differences, plus the full model and loss with two point prompts.
 
 The full-model check jitters the zero-initialized parameters (LoRA B, fusion
 output convs) first; otherwise those paths would be checked at a point where
@@ -130,7 +130,7 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
                     x, lora_b, reg.get("blk.attn.q.lora.A"))
 
         reg, lrng = fresh()
-        lora = LoraLinear(reg, "lora", d, 2, None, lrng, base_frozen=True)
+        lora = LoraLinear(reg, "lora", d, 2, None, lrng)
         lora.B.data[...] = srng.normal(0.0, 0.1, lora.B.shape)
         x = _rand(srng, 3, d)
         yield check(f"lora_apply[{si}]", _scalarizer(srng, lora, x),
@@ -181,7 +181,9 @@ PICKS = (
     "decoder.head.W",
     "prompt.dense",
     "decoder.tokens.mask",
+    "prompt.point_labels",
 )
+POINTS = PointPrompt([(10, 12, 1), (40, 40, 0)])  # both point_labels rows
 
 
 def full_model_setup(seed: int = 0):
@@ -202,14 +204,15 @@ def full_model_setup(seed: int = 0):
 
 
 def stage_chain(model: RgbtSegModel, rgb: Tensor, th: Tensor, vocab: ClassVocabulary,
-                labels: np.ndarray, sparse: Tensor) -> list:
+                labels: np.ndarray, points: PointPrompt) -> list:
     """The full-model check's forward as a list of stages, in order. Each entry
     is (the parameter-name prefixes the stage is first to read, a function
     from the stage's input to the next stage's input). The first stage takes
     (rgb, thermal) and the last returns ``total_loss``; folding the chain
-    computes the same ops as ``model.forward`` with point prompts ``sparse``
-    followed by ``total_loss``."""
-    enc, dec = model.encoder, model.decoder
+    computes the same ops as ``model.forward`` with ``points`` followed by
+    ``total_loss``. The two-way stage encodes the points itself, so it is the
+    first to read ``prompt.point_labels``."""
+    enc, dec, pe = model.encoder, model.decoder, model.prompt_encoder
     size = rgb.shape[-3:-1]
     return [
         (("encoder.thermal_embed.", "encoder.rgb_embed."),
@@ -217,7 +220,7 @@ def stage_chain(model: RgbtSegModel, rgb: Tensor, th: Tensor, vocab: ClassVocabu
         *[((f"encoder.dffm.{i}.", f"encoder.blocks.{i}."),
            lambda x, i=i: enc.stage(i, *x)) for i in range(len(enc.blocks))],
         (("decoder.twoway.", "decoder.tokens.", "prompt."),
-         lambda x: dec.two_way_transformer(x[1], sparse)),
+         lambda x: dec.two_way_transformer(x[1], pe.encode_points(points, size))),
         (("decoder.upscale.",), dec.upscale_masks),
         (("decoder.text_attn.", "decoder.head."),
          lambda x: total_loss(dec.classify(x, vocab, size), labels)),
@@ -237,8 +240,7 @@ def full_model_check(seed: int = 0, tol: float = 1e-4,
     field for field, a check that runs the full forward for every evaluation.
     """
     model, rgb, th, vocab, labels = full_model_setup(seed)
-    sparse = model.prompt_encoder.encode_points(PointPrompt([]), rgb.shape[-3:-1])
-    chain = stage_chain(model, rgb, th, vocab, labels, sparse)
+    chain = stage_chain(model, rgb, th, vocab, labels, POINTS)
     inputs = [(rgb, th)]
     with T.no_grad():
         for _, step in chain[:-1]:
@@ -253,7 +255,8 @@ def full_model_check(seed: int = 0, tol: float = 1e-4,
         return evaluate
 
     # one evaluator per stage, so gradcheck checks each against f once
-    evaluators = [lambda *_: total_loss(model.forward(rgb, th, vocab).logits, labels),
+    evaluators = [lambda *_: total_loss(model.forward(rgb, th, vocab, POINTS).logits,
+                                        labels),
                   *map(resume, range(1, len(chain)))]
     first = [next(k for k, (prefixes, _) in enumerate(chain) if n.startswith(prefixes))
              for n in PICKS]

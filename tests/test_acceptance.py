@@ -228,7 +228,7 @@ def test_8_analytic_losses():
     dice_val = abs(dice_loss(Tensor(perfect), labels2).item())
 
     reg = ParamRegistry()
-    p = reg.register("p", Tensor(np.array([2.0, -3.0])), frozen=False)
+    p = reg.register("p", Tensor(np.array([2.0, -3.0])))
     opt = AdamW(reg, lr=5e-4, weight_decay=0.01)
     before = p.data.copy()
     opt.step()  # no gradient: pure decoupled decay

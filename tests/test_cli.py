@@ -4,15 +4,17 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rgbtseg import cli
-from rgbtseg.checkpoint import load_checkpoint, save_checkpoint
+from rgbtseg.checkpoint import load_checkpoint, save_checkpoint, serialize
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.optim import AdamW
@@ -86,6 +88,24 @@ def test_eval_deterministic(short_run, dataset, tmp_path):
     assert results[0] == results[1]
     doc = json.loads(results[0])
     assert "overall" in doc and "miou" in doc["overall"]
+
+
+def test_eval_without_a_classes_file_scores_the_manifest_names(short_run, dataset,
+                                                              tmp_path):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("checkpoint.tseg", "config.json"):
+        shutil.copy(short_run / name, bare)
+    docs = []
+    for run in (short_run, bare):
+        out = tmp_path / f"{run.name}.json"
+        assert cli.main(["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                         "--data", str(dataset), "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    classes = json.loads((dataset / "manifest.json").read_text())["classes"]
+    assert list(docs[1]["overall"]["per_class"]) == classes
+    # the run's classes.json holds the toy embeddings of the same names
+    assert docs[1] == docs[0]
 
 
 def test_eval_missing_checkpoint_exits_2(dataset, tmp_path):
@@ -210,11 +230,19 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"train": {"lambda_dice": -0.5}},
      "invalid training hyperparameter: train.lambda_dice must be non-negative, got -0.5"),
     ({"model": {"lora_alpha": -1.0}}, "model.lora_alpha must be positive, got -1.0"),
+    ({"model": {"heads": 5}}, "d 64 not divisible by heads 5"),
+    ({"model": {"se_reduction": 5}}, "d 64 not divisible by se_reduction 5"),
+    ({"model": {"lora_rank": 64}}, "lora_rank must satisfy 1 <= r < d, got 64"),
+    ({"model": {"d": 66, "heads": 2}}, "d 66 must be divisible by 4 (upscaling)"),
+    ({"x": 1}, "unknown config keys: ['x']"),
+    ({"train": {"steps": -1}}, "steps must be >= 0 and batch >= 1"),
 ], ids=["batch_float", "d_float", "heads_bool", "steps_float", "ignore_in_range",
         "top_null", "top_string", "top_list", "model_not_object", "train_not_object",
         "model_unknown_key", "train_unknown_key", "lr_nan", "lora_alpha_inf",
         "lambda_dice_inf", "weight_decay_minus_inf", "lr_zero", "lambda_dice_negative",
-        "lora_alpha_negative"])
+        "lora_alpha_negative", "heads_not_dividing_d", "se_reduction_not_dividing_d",
+        "lora_rank_not_below_d", "d_not_divisible_by_4", "top_unknown_key",
+        "steps_negative"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -393,6 +421,45 @@ def _empty_image_pair(tmp_path):
     return ["--rgb", str(tmp_path / "e.ppm"), "--thermal", str(tmp_path / "e.pgm")]
 
 
+def _file(tmp_path, name, content: bytes):
+    path = tmp_path / name
+    path.write_bytes(content)
+    return str(path)
+
+
+def _checkpoint(tmp_path, edit):
+    """A one-record checkpoint whose body is edited by ``edit`` and then given
+    a valid checksum, so that only the record structure is wrong."""
+    body = edit(serialize({"x": (np.zeros(3), False)})[:-4])
+    return _file(tmp_path, "edited.tseg", body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _bare_checkpoint(run, tmp_path):
+    """The run's checkpoint alone in a directory: no classes.json beside it."""
+    (tmp_path / "bare").mkdir()
+    return str(shutil.copy(run / "checkpoint.tseg", tmp_path / "bare"))
+
+
+def _data_without_a_thermal_file(data, tmp_path):
+    copy = tmp_path / "ds"
+    shutil.copytree(data, copy)
+    (copy / "sample_0002_th.pgm").unlink()
+    return str(copy)
+
+
+def _infer_rgb(run, data, tmp_path, ppm: bytes):
+    """``infer`` of the run's checkpoint with the RGB image ``ppm``."""
+    return ["infer", "--ckpt", str(run / "checkpoint.tseg"),
+            "--rgb", _file(tmp_path, "x.ppm", ppm),
+            "--thermal", str(data / "sample_0000_th.pgm"),
+            "--out", str(tmp_path / "m.pgm")]
+
+
+def _eval(ckpt, data, tmp_path):
+    return ["eval", "--ckpt", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "r.json")]
+
+
 def _three_class_vocab(tmp_path):
     path = tmp_path / "classes.json"
     save_text_embeddings(path, ClassVocabulary.from_names(
@@ -426,9 +493,37 @@ def _three_class_vocab(tmp_path):
     (lambda run, data, tmp: ["infer", "--ckpt", str(run / "checkpoint.tseg"),
                              *_empty_image_pair(tmp), "--out", str(tmp / "m.pgm")],
      "image 0x0 is smaller than patch size 8"),
+    (lambda run, data, tmp: ["train", "--data", str(data), "--out", str(tmp / "o"),
+                             "--config", _file(tmp, "bad.json", b'{"model": ')],
+     "malformed config file: "),
+    (lambda run, data, tmp: _eval(_checkpoint(tmp, lambda b: b + b"\0\0"), data, tmp),
+     "2 trailing bytes after last record"),
+    (lambda run, data, tmp: _eval(_checkpoint(tmp, lambda b: b[:-8]), data, tmp),
+     "record 'x' runs past end of file"),
+    (lambda run, data, tmp: _eval(_checkpoint(tmp, lambda b: b[:-25]), data, tmp),
+     "checkpoint ends mid-record"),
+    (lambda run, data, tmp: _infer_rgb(run, data, tmp, b"P6\n1 1\n65535\n" + bytes(6)),
+     "unsupported maxval 65535 (only 255)"),
+    (lambda run, data, tmp: _infer_rgb(run, data, tmp, b"P6\n8 8\n255"),
+     "header ends at byte 10 with no payload"),
+    (lambda run, data, tmp: _infer_rgb(run, data, tmp, b"P6\n8 x\n255\n"),
+     "expected integer at byte 5, got b'x'"),
+    (lambda run, data, tmp: ["infer", "--ckpt", _bare_checkpoint(run, tmp),
+                             "--rgb", str(data / "sample_0000_rgb.ppm"),
+                             "--thermal", str(data / "sample_0000_th.pgm"),
+                             "--out", str(tmp / "m.pgm")],
+     "no class vocabulary available; pass --classes"),
+    (lambda run, data, tmp: _eval(run / "checkpoint.tseg",
+                                  _data_without_a_thermal_file(data, tmp), tmp),
+     "referenced thermal file missing: "),
+    (lambda run, data, tmp: _eval(run / "checkpoint.tseg", tmp / "no_data", tmp),
+     "manifest not found: "),
 ], ids=["labels_out_of_range", "ckpt_is_dir", "out_is_dir", "points_too_short",
         "gen_data_out_under_file", "gen_data_n_negative", "gen_data_size_zero",
-        "infer_empty_image"])
+        "infer_empty_image", "config_malformed_json", "ckpt_trailing_bytes",
+        "ckpt_record_cut_short", "ckpt_record_header_cut_short", "ppm_maxval_65535",
+        "ppm_header_without_payload", "ppm_non_integer_token", "infer_no_vocabulary",
+        "manifest_file_missing", "manifest_missing"])
 def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
                                          argv, message):
     args = argv(short_run, dataset, tmp_path)
@@ -447,8 +542,12 @@ def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
     lambda doc: doc["classes"][0].update(embedding=3),
     lambda doc: doc["classes"][0]["embedding"].__setitem__(0, {}),
     lambda doc: doc["classes"][0]["embedding"].__setitem__(0, float("nan")),
+    lambda doc: doc.pop("dim"),
+    lambda doc: doc.update(classes=[]),
+    lambda doc: doc["classes"].append(doc["classes"][0]),
 ], ids=["entry_not_object", "dim_null", "classes_not_list", "embedding_not_list",
-        "embedding_item_not_number", "embedding_nan"])
+        "embedding_item_not_number", "embedding_nan", "dim_missing", "classes_empty",
+        "name_duplicate"])
 def test_malformed_classes_file_exits_2_with_one_line(short_run, dataset, tmp_path,
                                                       capsys, edit):
     doc = json.loads((short_run / "classes.json").read_text())
@@ -526,7 +625,7 @@ def test_eval_split_selects_its_samples_and_an_absent_tag_warns(short_run, datas
     for split, counts, err in [
             ("test", {"test": 2, "overall": 2}, ""),
             ("night", {"test": 2, "train": 4, "overall": 6},
-             "warning: no samples tagged 'night'; evaluating all samples as one split\n")]:
+             "warning: no samples tagged 'night'; evaluating every sample\n")]:
         capsys.readouterr()
         assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
                          "--data", str(data), "--split", split,

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from rgbtseg.config import RunConfig
-from rgbtseg.encoder import RgbtEncoder
-from rgbtseg.params import ParamRegistry, derive_rng
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.params import derive_rng
 from rgbtseg.tensor import ShapeError, Tensor
 
 
 def _encoder(**flags):
+    """The encoder of a model, and the model's registry: the model decides
+    which parameters are frozen."""
     cfg = RunConfig()
     for k, v in flags.items():
         setattr(cfg.model, k, v)
-    reg = ParamRegistry()
-    return RgbtEncoder(reg, cfg.model, cfg.backbone_seed), reg
+    model = RgbtSegModel(cfg)
+    return model.encoder, model.registry
 
 
 def test_output_grid_shape(rng):

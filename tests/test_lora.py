@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgbtseg.lora import LoraConfigError, LoraLinear
+from rgbtseg.model import RgbtSegModel
 from rgbtseg.params import ParamRegistry
 from rgbtseg.tensor import Tensor
 
@@ -44,10 +45,15 @@ def test_rank_validation():
         _make(rank=16)
 
 
-def test_param_registry_freezing():
-    _, reg = _make()
-    frozen = {n for n, (t, fr) in reg.items() if fr}
-    trainable = {n for n, (t, fr) in reg.items() if not fr}
-    assert frozen == {"proj.W0", "proj.b0"}
-    assert trainable == {"proj.lora.A", "proj.lora.B"}
+def test_param_registry_freezing(default_cfg):
+    """In the model every adapted projection keeps its base frozen and trains
+    its adapter."""
+    reg = RgbtSegModel(default_cfg).registry
+    adapted = {n[:-len(".W0")] for n, _ in reg.items() if n.endswith(".W0")}
+    # q and v of 4 encoder blocks, and of 2 attentions in each of 2 decoder layers
+    assert len(adapted) == 16
+    for proj in adapted:
+        assert reg.is_frozen(f"{proj}.W0") and reg.is_frozen(f"{proj}.b0")
+        assert not reg.is_frozen(f"{proj}.lora.A")
+        assert not reg.is_frozen(f"{proj}.lora.B")
 

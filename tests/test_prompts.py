@@ -7,6 +7,7 @@ from rgbtseg.prompts import (ClassVocabulary, PointError, PointPrompt,
                              PromptEncoder, VocabularyFormatError,
                              load_text_embeddings, save_text_embeddings,
                              toy_text_embed)
+from rgbtseg.model import RgbtSegModel
 from rgbtseg.params import ParamRegistry
 
 
@@ -65,11 +66,11 @@ def test_point_encoding_shapes_and_bounds():
         enc.encode_points(PointPrompt([(1.0, 1.0, 2)]), (64, 64))
 
 
-def test_prompt_encoder_param_freezing():
-    reg = ParamRegistry()
-    PromptEncoder(reg, 64, seed=0)
+def test_prompt_encoder_param_freezing(default_cfg):
+    reg = RgbtSegModel(default_cfg).registry
     assert reg.is_frozen("prompt.fourier")
     assert not reg.is_frozen("prompt.point_labels")
+    assert not reg.is_frozen("prompt.dense")
     assert not reg.get("prompt.dense").data.any()
 
 

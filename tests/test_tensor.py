@@ -175,6 +175,13 @@ def test_backward_through_a_released_node_raises_naming_its_op():
     assert np.array_equal(x.grad, [2.0, 2.0])
 
 
+def test_two_backwards_sharing_a_leaf_accumulate_into_its_grad():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    (x * 3.0).sum().backward()
+    (x * x).sum().backward()
+    assert np.array_equal(x.grad, [3.0 + 2.0, 3.0 - 4.0])
+
+
 def _owner(a: np.ndarray) -> np.ndarray:
     """The array that owns ``a``'s memory."""
     while a.base is not None:

@@ -57,11 +57,12 @@ def test_split_report_equals_one_check_of_the_full_forward():
 
     model, rgb, th, vocab, labels = verify.full_model_setup(seed)
     reference = gradcheck(
-        lambda *_: total_loss(model.forward(rgb, th, vocab).logits, labels),
+        lambda *_: total_loss(model.forward(rgb, th, vocab, verify.POINTS).logits,
+                              labels),
         [model.registry.get(n) for n in verify.PICKS], tol=1e-4,
         max_coords_per_input=1, rng=np.random.default_rng(seed + 1))
 
-    assert len(report.per_input) == 16
+    assert len(report.per_input) == 17
     assert report == reference  # every field, bitwise
 
 
@@ -80,12 +81,11 @@ def _arrays(x):
 
 def test_each_trainable_parameter_is_first_read_by_one_stage():
     model, rgb, th, vocab, labels = verify.full_model_setup(0)
-    sparse = model.prompt_encoder.encode_points(PointPrompt([]), rgb.shape[-3:-1])
-    chain = verify.stage_chain(model, rgb, th, vocab, labels, sparse)
+    chain = verify.stage_chain(model, rgb, th, vocab, labels, verify.POINTS)
     xs = _fold(chain, rgb, th)
     # folding the chain is the model's forward and loss, bitwise
-    assert xs[-1].item() == total_loss(model.forward(rgb, th, vocab).logits,
-                                       labels).item()
+    assert xs[-1].item() == total_loss(
+        model.forward(rgb, th, vocab, verify.POINTS).logits, labels).item()
     rng = np.random.default_rng(1)
     for name, p in model.registry.trainable():
         stages = [k for k, (prefixes, _) in enumerate(chain) if name.startswith(prefixes)]
@@ -116,6 +116,6 @@ def test_encoder_runs_once_for_the_decoder_side_group(monkeypatch):
     # encoder.thermal_embed.W, the one pick every stage reads
     assert forwards == 2 + 6 * 2
     # 2 layers per decoder pass: the full forwards; 60 finite differences and
-    # 4 determinism evaluations resumed at fusion stages 0-3; 48 and 1 at the
-    # decoder; one pass caching the two-way grid (392 before resumption)
-    assert two_way == 2 * (forwards + 60 + 4 + 48 + 1 + 1)
+    # 4 determinism evaluations resumed at fusion stages 0-3; 60 and 1 at the
+    # decoder; one pass caching the two-way grid (416 before resumption)
+    assert two_way == 2 * (forwards + 60 + 4 + 60 + 1 + 1)
