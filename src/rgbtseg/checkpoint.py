@@ -67,11 +67,13 @@ def serialize(state: dict[str, tuple[np.ndarray, bool]]) -> bytes:
 
 
 def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
+    """The state in ``blob``. The records are read through a view of the
+    blob, so each array is copied out of it once and owns its data."""
     if len(blob) < 16:
         raise TruncatedError(f"checkpoint too short ({len(blob)} bytes)")
     if blob[:4] != MAGIC:
         raise BadMagicError(f"bad magic {blob[:4]!r}")
-    body, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    body, (stored_crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != stored_crc:
         raise ChecksumError("checksum mismatch: checkpoint corrupted or truncated")
     version, count = struct.unpack_from("<II", body, 4)
@@ -83,7 +85,7 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, pos)
             pos += 4
-            name = body[pos:pos + name_len].decode()
+            name = bytes(body[pos:pos + name_len]).decode()
             pos += name_len
             code, ndim = struct.unpack_from("<BB", body, pos)
             pos += 2
@@ -93,10 +95,11 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
             pos += 1
             if code != _FLOAT64:
                 raise CheckpointError(f"unknown dtype code {code} for '{name}'")
-            nbytes = int(np.prod(dims, dtype=np.int64)) * _F8.itemsize
+            n = int(np.prod(dims, dtype=np.int64))
+            nbytes = n * _F8.itemsize
             if pos + nbytes > len(body):
                 raise TruncatedError(f"record '{name}' runs past end of file")
-            arr = np.frombuffer(body[pos:pos + nbytes], dtype=_F8).reshape(dims)
+            arr = np.frombuffer(body, dtype=_F8, count=n, offset=pos).reshape(dims)
             pos += nbytes
             state[name] = (arr.astype(np.float64), frozen)
     except struct.error as e:

@@ -7,6 +7,18 @@ projections carry LoRA adapters, upscales the refined image features, aligns
 them with class text embeddings through cross-attention, and scores every
 pixel against the projected text embeddings.
 
+The head W_h, b_h maps a pixel's features e and its text-attention output
+f_text = softmax(e W_Q Kᵀ s) E_t W_V, with keys K = E_t W_K and s = 1/√d_k,
+to d_k features, which are only ever scored against Kᵀ s. Both steps are
+linear, so the text path runs in class space: the scores before the resize
+are
+
+    e (W_h[:d_m] Kᵀ s) + softmax(e W_Q Kᵀ s) (E_t W_V W_h[d_m:] Kᵀ s) + b_h Kᵀ s,
+
+the same function as concatenating [e, f_text], applying the head and scoring
+against Kᵀ s, computed as one linear map and one one-head attention whose
+values are [C, C]. No per-pixel tensor is wider than the class count C.
+
 Only the refined image features feed a head: the class-score path runs
 entirely through the upscaled image features, and the refined tokens are
 dropped after the last two-way layer. The text path runs in canonical
@@ -138,26 +150,31 @@ class MaskDecoder:
     def upscale_masks(self, e_m: Tensor) -> Tensor:
         return T.gelu(self.up2(T.gelu(self.up1(e_m))))
 
-    def text_cross_attention(self, e_mask: Tensor, et: Tensor, keys: Tensor) -> Tensor:
-        """Per-pixel attention over class text embeddings ``et`` [C, d_t] with
-        keys ``keys`` = et W_K: one head of the fused ``attention`` node, with
-        the pixels as queries and the value rows et W_V. The output has no
-        class axis."""
-        *lead, hu, wu, dm = e_mask.shape
-        q = T.matmul(e_mask.reshape(-1, dm), self.w_q)
-        f_text = T.attention(q, keys, T.matmul(et, self.w_v), 1,
-                             1.0 / np.sqrt(self.cfg.d_k))
-        return f_text.reshape(*lead, hu, wu, self.cfg.d_v)
+    def _score(self, rows: Tensor, keys: Tensor) -> Tensor:
+        """``rows`` [n, d_k] scored against ``keys`` [C, d_k]: rows Kᵀ s."""
+        return T.matmul(rows, keys.transpose(1, 0)) * (1.0 / np.sqrt(self.cfg.d_k))
 
-    def class_logits(self, e_mask: Tensor, f_text: Tensor, keys: Tensor,
+    def text_cross_attention(self, e_mask: Tensor, et: Tensor, keys: Tensor) -> Tensor:
+        """The text term softmax(e W_Q Kᵀ s) (E_t W_V W_h[d_m:] Kᵀ s) of the
+        scores [..., Hu, Wu, C], from the class text rows ``et`` [C, d_t] and
+        their keys ``keys`` = et W_K: one head of the fused ``attention`` node
+        with the pixels as queries, the key rows K W_Qᵀ and [C, C] values."""
+        *lead, hu, wu, dm = e_mask.shape
+        values = T.matmul(T.matmul(et, self.w_v),
+                          self._score(self.head.W[self.d_m:], keys))
+        scores = T.attention(e_mask.reshape(-1, dm),
+                             T.matmul(keys, self.w_q.transpose(1, 0)), values, 1,
+                             1.0 / np.sqrt(self.cfg.d_k))
+        return scores.reshape(*lead, hu, wu, keys.shape[0])
+
+    def class_logits(self, e_mask: Tensor, text_scores: Tensor, keys: Tensor,
                      out_size: tuple[int, int]) -> Tensor:
-        """Per-class scores [..., H, W, C] at ``out_size`` from the text path;
-        the classes come in the row order of ``keys``."""
-        feats = self.head(T.concat([e_mask, f_text], axis=-1))
-        low = T.matmul(feats.reshape(-1, self.cfg.d_k), keys.transpose(1, 0))
-        low = (low * (1.0 / np.sqrt(self.cfg.d_k))).reshape(*e_mask.shape[:-1],
-                                                            keys.shape[0])
-        return bilinear_resize(low, *out_size)
+        """Per-class scores [..., H, W, C] at ``out_size``: the image and bias
+        terms e (W_h[:d_m] Kᵀ s) + b_h Kᵀ s as one ``linear``, plus the text
+        term ``text_scores``; the classes come in the row order of ``keys``."""
+        w = self._score(self.head.W[:self.d_m], keys)
+        b = self._score(self.head.b.reshape(1, -1), keys).reshape(-1)
+        return bilinear_resize(T.linear(e_mask, w, b) + text_scores, *out_size)
 
     def classify(self, e_mask: Tensor, vocab: ClassVocabulary,
                  out_size: tuple[int, int]) -> Tensor:
@@ -173,8 +190,8 @@ class MaskDecoder:
         order = sorted(range(vocab.num_classes), key=vocab.names.__getitem__)
         et = Tensor(vocab.embeddings[order])
         keys = T.matmul(et, self.w_k)
-        f_text = self.text_cross_attention(e_mask, et, keys)
-        logits = self.class_logits(e_mask, f_text, keys, out_size)
+        text_scores = self.text_cross_attention(e_mask, et, keys)
+        logits = self.class_logits(e_mask, text_scores, keys, out_size)
         return logits[..., np.argsort(order)]
 
     # -- full pass ---------------------------------------------------------------

@@ -420,7 +420,9 @@ def gelu(x: Tensor) -> Tensor:
     """Tanh-form GELU (Hendrycks & Gimpel, arXiv:1606.08415):
     ``0.5 x (1 + tanh(√(2/π) (x + 0.044715 x³)))``, not the exact erf form.
     The cube is taken by multiplies: numpy's float ``pow`` costs tens of
-    times more per element."""
+    times more per element. When the result will be linked, the forward also
+    forms the derivative, so the tape keeps that one array and not the
+    clipped input and the tanh it is formed from."""
     x = Tensor._coerce(x)
     node = _grad_node(x)
     u = np.clip(x.data, -_GELU_CLIP, _GELU_CLIP)
@@ -430,23 +432,26 @@ def gelu(x: Tensor) -> Tensor:
     t += u
     t *= _GELU_K
     np.tanh(t, out=t)
-    data = 0.5 * x.data
-    data *= 1.0 + t
-
-    def backward(g, acc):
+    dydx = None
+    if node is not None and _grad_enabled:
         # d/dx = (1 + t) (1/2 + x (1 - t) √(2/π) (1 + 3·0.044715 x²) / 2); the
         # factored 1 - t² keeps its precision as |t| nears 1, and past the
         # clip 1 - t or 1 + t is 0 while u keeps x² finite
-        half_dz = u * u
-        half_dz *= _GELU_HALF_3KC
-        half_dz += _GELU_HALF_K
-        gx = 1.0 - t
-        gx *= u
-        gx *= half_dz
-        gx += 0.5
-        gx *= 1.0 + t
-        gx *= g
-        acc(node, gx)
+        dydx = 1.0 - t
+        dydx *= u
+        u *= u
+        u *= _GELU_HALF_3KC
+        u += _GELU_HALF_K
+        dydx *= u
+        dydx += 0.5
+    t += 1.0
+    data = 0.5 * x.data
+    data *= t
+    if dydx is not None:
+        dydx *= t
+
+    def backward(g, acc):
+        acc(node, dydx * g)
 
     return Tensor._from_op(data, (node,), backward, "gelu")
 

@@ -6,10 +6,8 @@ training runs (criteria 3-5) are shared module-scoped fixtures; the full
 CPU (measured ~31 s full model, ~62 s baseline).
 """
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -30,6 +30,7 @@ def test_round_trip_bytes_and_values(tmp_path):
     for name, (arr, frozen) in state.items():
         got, got_frozen = loaded[name]
         assert np.array_equal(got, arr)
+        assert got.flags.owndata and got.flags.writeable
         assert got_frozen == frozen
 
 

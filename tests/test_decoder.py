@@ -1,10 +1,14 @@
-"""Mask decoder: LoRA init identity, output shapes, text path equivariance."""
+"""Mask decoder: LoRA init identity, output shapes, text path equivariance,
+and the class-space head against its feature-space composition."""
 
 import numpy as np
 
+from rgbtseg import tensor as T
 from rgbtseg.config import RunConfig
+from rgbtseg.layers import bilinear_resize
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary, PointPrompt
+from rgbtseg.tensor import Tensor
 
 
 def _model(**flags):
@@ -66,3 +70,44 @@ def test_forward_is_deterministic(rng, vocab):
     a = model.forward(rgb, th, vocab).logits.data
     b = model.forward(rgb, th, vocab).logits.data
     assert np.array_equal(a, b)
+
+
+def _feature_space_logits(dec, e, et, out_size):
+    """The text path composed in feature space: each pixel attends over the
+    classes with its query e W_Q, the head maps [e, f_text] to d_k features,
+    and the features are scored against the keys et W_K."""
+    *lead, hu, wu, dm = e.shape
+    scale = 1.0 / np.sqrt(dec.cfg.d_k)
+    keys = T.matmul(et, dec.w_k)
+    q = T.matmul(e.reshape(-1, dm), dec.w_q)
+    f_text = T.attention(q, keys, T.matmul(et, dec.w_v), 1, scale)
+    feats = dec.head(T.concat([e, f_text.reshape(*lead, hu, wu, -1)], axis=-1))
+    low = T.matmul(feats.reshape(-1, dec.cfg.d_k), keys.transpose(1, 0)) * scale
+    return bilinear_resize(low.reshape(*lead, hu, wu, -1), *out_size)
+
+
+def test_class_space_head_matches_the_feature_space_composition():
+    rng = np.random.default_rng(7)
+    dec = _model().decoder
+    dec.head.b.data = rng.normal(0.0, 0.5, dec.head.b.shape)  # zero at init
+    params = [dec.w_q, dec.w_k, dec.w_v, dec.head.W, dec.head.b]
+    for c in (1, 4, 7):
+        # names already in canonical order, so classify gathers nothing
+        vocab = ClassVocabulary.from_names([f"class_{i}" for i in range(c)],
+                                           dec.cfg.d_t, seed=c)
+        for lead in ((), (2,)):
+            e = Tensor(rng.normal(size=(*lead, 8, 8, dec.d_m)), requires_grad=True)
+            g = Tensor(rng.normal(size=(*lead, 16, 16, c)))
+            results = []
+            for logits_fn in (
+                    lambda: dec.classify(e, vocab, (16, 16)),
+                    lambda: _feature_space_logits(dec, e, Tensor(vocab.embeddings),
+                                                  (16, 16))):
+                for t in [e, *params]:
+                    t.grad = None
+                logits = logits_fn()
+                (logits * g).sum().backward()
+                results.append([logits.data] + [t.grad for t in [e, *params]])
+            for got, want in zip(*results):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (c, lead)

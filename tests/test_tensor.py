@@ -122,6 +122,24 @@ def test_gelu_is_the_tanh_form_and_finite_at_extremes():
     assert slope[0] == 1.0 and slope[1] == 0.0
 
 
+def test_gelu_saves_only_its_derivative():
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([rng.normal(0.0, 3.0, 64), EXTREMES])
+    x = Tensor(xs, requires_grad=True)
+    y = T.gelu(x)
+    saved = [c.cell_contents for c in y._node._backward.__closure__
+             if isinstance(c.cell_contents, np.ndarray)]
+    assert len(saved) == 1
+    g = rng.normal(size=xs.shape)
+    (y * Tensor(g)).sum().backward()
+    # reference: the derivative formed in backward from the clipped input u
+    # and the tanh t
+    u = np.clip(xs, -T._GELU_CLIP, T._GELU_CLIP)
+    t = np.tanh((u * u * u * T._GELU_C + u) * T._GELU_K)
+    half_dz = u * u * T._GELU_HALF_3KC + T._GELU_HALF_K
+    assert np.array_equal(x.grad, ((1.0 - t) * u * half_dz + 0.5) * (1.0 + t) * g)
+
+
 def test_sigmoid_saturates_exactly_without_overflow():
     value, _ = _value_and_slope(T.sigmoid, EXTREMES)
     for x, got in zip(EXTREMES, value):

@@ -20,15 +20,15 @@ from rgbtseg.tensor import NumericError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# The fused layer and loss nodes link 298 tape nodes for this step; frozen
-# weights and constants are not linked (447 nodes if they were, 1161 with one
-# node per elementary op as well).
+# The fused layer and loss nodes link 304 tape nodes for this step; frozen
+# weights and constants are not linked (443 nodes if they were).
 TAPE_NODE_BUDGET = 330
 
-# The tracemalloc peak of this step's forward and backward, in MiB: 22.9 when
-# each node saves only what its backward reads and backward frees it as it
-# goes, 38.8 when every intermediate array lived until backward ended.
-STEP_PEAK_MIB_BUDGET = 30
+# The tracemalloc peak of this step's forward and backward, in MiB: 16.6 when
+# the class head scores pixels in class space and GELU saves only its
+# derivative; 22.9 with the head in feature space and GELU saving its input
+# and tanh; 38.8 when every intermediate array lived until backward ended.
+STEP_PEAK_MIB_BUDGET = 20
 
 
 def _setup(steps=3, config="ablation_7_full"):
