@@ -16,7 +16,6 @@ so generation parallelizes and stays deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +30,49 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass
 class RgbtSample:
-    rgb: np.ndarray      # [H, W, 3] float in [0, 1]
-    thermal: np.ndarray  # [H, W, 1] float in [0, 1]
-    labels: np.ndarray   # [H, W] int class ids
-    split: str = "train"
+    """One RGB-thermal pair, its label map and its split tag.
+
+    A sample holds its arrays as given and converts them only when a field is
+    read: a ``uint8`` image reads as float64 in [0, 1] (``pnm.to_float``), a
+    ``uint8`` label map as int64, and any other array as it is.
+    ``load_dataset`` keeps what the PPM/PGM files hold, 3 + 1 + 1 = 5 bytes
+    per pixel, where float64 images and int64 labels would take 24 + 8 + 8 =
+    40; the generator's samples hold floats. Every read of a held ``uint8``
+    array returns a fresh converted copy.
+    """
+
+    __slots__ = ("_rgb", "_thermal", "_labels", "split")
+
+    def __init__(self, rgb: np.ndarray, thermal: np.ndarray, labels: np.ndarray,
+                 split: str = "train"):
+        self._rgb, self._thermal, self._labels = rgb, thermal, labels
+        self.split = split
+
+    @property
+    def rgb(self) -> np.ndarray:
+        """[H, W, 3] float in [0, 1]."""
+        return _as_float(self._rgb)
+
+    @property
+    def thermal(self) -> np.ndarray:
+        """[H, W, 1] float in [0, 1]."""
+        return _as_float(self._thermal)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """[H, W] int class ids."""
+        a = self._labels
+        return a.astype(np.int64) if a.dtype == np.uint8 else a
+
+    @property
+    def shapes(self) -> tuple:
+        """The (rgb, thermal, labels) shapes, read without a conversion."""
+        return self._rgb.shape, self._thermal.shape, self._labels.shape
+
+
+def _as_float(img: np.ndarray) -> np.ndarray:
+    return to_float(img) if img.dtype == np.uint8 else img
 
 
 def _distinct_color(rng: np.random.Generator, bg: np.ndarray) -> np.ndarray:
@@ -181,17 +217,16 @@ def load_dataset(manifest_path) -> tuple[list[RgbtSample], list[str]]:
         for k, p in paths.items():
             if not p.exists():
                 raise ManifestError(f"referenced {k} file missing: {p}")
-        sample = RgbtSample(
-            rgb=to_float(read_ppm(paths["rgb"])),
-            thermal=to_float(read_pgm(paths["thermal"]))[:, :, None],
-            labels=read_pgm(paths["label"]).astype(np.int64),
-            split=entry.get("split", "train"),
-        )
-        size = sample.rgb.shape[:2]
-        for k, a in (("thermal", sample.thermal), ("label", sample.labels)):
+        # held at file precision; the sample converts on each read
+        rgb = read_ppm(paths["rgb"])
+        thermal = read_pgm(paths["thermal"])[:, :, None]
+        labels = read_pgm(paths["label"])
+        size = rgb.shape[:2]
+        for k, a in (("thermal", thermal), ("label", labels)):
             if a.shape[:2] != size:
                 raise ManifestError(
                     f"manifest sample {i}: {k} is {a.shape[0]}x{a.shape[1]}, "
                     f"rgb is {size[0]}x{size[1]}")
-        samples.append(sample)
+        samples.append(RgbtSample(rgb=rgb, thermal=thermal, labels=labels,
+                                  split=entry.get("split", "train")))
     return samples, list(doc["classes"])

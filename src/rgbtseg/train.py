@@ -129,8 +129,7 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         by_shape: dict[tuple, list[RgbtSample]] = {}
         for i in idx:
             s = samples[i]
-            by_shape.setdefault((s.rgb.shape, s.thermal.shape, s.labels.shape),
-                                []).append(s)
+            by_shape.setdefault(s.shapes, []).append(s)
         groups = list(by_shape.values())
 
         acc = IouAccumulator(num_classes, cfg.ignore_label)
@@ -174,10 +173,11 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
     n = 0
     for s in samples:
         pred = model.predict(s.rgb, s.thermal, vocab)
-        overall.update(pred, s.labels)
+        labels = s.labels
+        overall.update(pred, labels)
         n += 1
         acc = accs.setdefault(s.split, IouAccumulator(vocab.num_classes, ignore_label))
-        acc.update(pred, s.labels)
+        acc.update(pred, labels)
         counts[s.split] = counts.get(s.split, 0) + 1
     results = {
         split: SplitResult(split, acc.iou(), acc.miou(), counts[split])

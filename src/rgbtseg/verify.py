@@ -186,12 +186,11 @@ PICKS = (
 POINTS = PointPrompt([(10, 12, 1), (40, 40, 0)])  # both point_labels rows
 
 
-def full_model_setup(seed: int = 0):
-    """The full-model check's point: the default model with its trainable
-    parameters jittered, and one synthetic sample with a 4-class vocabulary.
-    Returns (model, rgb, thermal, vocab, labels)."""
-    cfg = RunConfig()
-    cfg.validate()
+def full_model_setup(seed: int = 0, cfg: RunConfig | None = None):
+    """The full-model check's point: the model of ``cfg`` (the default config
+    if None) with its trainable parameters jittered, and one synthetic sample
+    with a 4-class vocabulary. Returns (model, rgb, thermal, vocab, labels)."""
+    cfg = cfg or RunConfig()
     model = RgbtSegModel(cfg)
     rng = np.random.default_rng(seed)
     # move off the zero-init point so fusion and adapter paths carry gradient

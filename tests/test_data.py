@@ -1,12 +1,19 @@
-"""Synthetic benchmark: determinism, class structure, dataset file I/O."""
+"""Synthetic benchmark: determinism, class structure, dataset file I/O, and
+loaded samples held at file precision."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rgbtseg.data import (CLASS_NAMES, ManifestError, NOISE_SIGMA, gen_sample,
-                          gen_synthetic, load_dataset, save_dataset)
+from rgbtseg.config import RunConfig
+from rgbtseg.data import (CLASS_NAMES, ManifestError, NOISE_SIGMA, RgbtSample,
+                          gen_sample, gen_synthetic, load_dataset, save_dataset)
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.pnm import read_pgm, read_ppm, to_float
+from rgbtseg.prompts import ClassVocabulary
+from rgbtseg.train import train
 
 
 def test_deterministic_generation():
@@ -74,3 +81,63 @@ def test_manifest_errors(tmp_path):
     path.write_text(json.dumps({"classes": ["a"]}))
     with pytest.raises(ManifestError):
         load_dataset(path)
+
+
+def test_loaded_fields_read_bitwise_as_their_files_convert(tmp_path):
+    manifest = save_dataset(gen_synthetic(3, (32, 48), seed=2), tmp_path)
+    entries = json.loads(manifest.read_text())["samples"]
+    loaded, _ = load_dataset(manifest)
+    for entry, s in zip(entries, loaded):
+        expected = {
+            "rgb": to_float(read_ppm(tmp_path / entry["rgb"])),
+            "thermal": to_float(read_pgm(tmp_path / entry["thermal"]))[..., None],
+            "labels": read_pgm(tmp_path / entry["label"]).astype(np.int64),
+        }
+        for field, dtype in (("rgb", np.float64), ("thermal", np.float64),
+                             ("labels", np.int64)):
+            got, want = getattr(s, field), expected[field]
+            assert got.dtype == want.dtype == dtype, field
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+
+
+def test_generated_fields_are_returned_as_they_are():
+    s = gen_sample((32, 32), seed=0, index=0)
+    assert s.rgb is s.rgb and s.thermal is s.thermal and s.labels is s.labels
+    assert s.shapes == ((32, 32, 3), (32, 32, 1), (32, 32))
+
+
+# the bytes of a pixel in the PPM/PGM triple: 3 RGB, 1 thermal, 1 label
+FILE_BYTES_PER_PIXEL = 5
+
+
+def test_loaded_samples_retain_the_file_bytes(tmp_path):
+    n, size = 8, 64
+    save_dataset(gen_synthetic(n, (size, size), seed=4), tmp_path)
+    load_dataset(tmp_path)  # the first call may build module-level state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples, _ = load_dataset(tmp_path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == n
+    # float64 images and int64 labels would retain 40 bytes per pixel
+    assert retained <= 1.1 * FILE_BYTES_PER_PIXEL * n * size * size, retained
+
+
+def test_training_on_loaded_samples_equals_training_on_float_copies(tmp_path):
+    save_dataset(gen_synthetic(8, (32, 32), seed=6), tmp_path)
+    loaded, names = load_dataset(tmp_path)
+    copies = [RgbtSample(rgb=s.rgb, thermal=s.thermal, labels=s.labels,
+                         split=s.split) for s in loaded]
+    states = []
+    for samples in (loaded, copies):
+        cfg = RunConfig()
+        cfg.train.steps = 3
+        model = RgbtSegModel(cfg)
+        vocab = ClassVocabulary.from_names(names, cfg.model.d_t, cfg.backbone_seed)
+        train(model, vocab, samples, cfg.train)
+        states.append(model.state_dict())
+    for name, (arr, _) in states[0].items():
+        assert arr.tobytes() == states[1][name][0].tobytes(), name

@@ -6,6 +6,7 @@ the report."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rgbtseg import tensor as T
 from rgbtseg import verify
@@ -119,3 +120,28 @@ def test_encoder_runs_once_for_the_decoder_side_group(monkeypatch):
     # 4 determinism evaluations resumed at fusion stages 0-3; 60 and 1 at the
     # decoder; one pass caching the two-way grid (416 before resumption)
     assert two_way == 2 * (forwards + 60 + 4 + 60 + 1 + 1)
+
+
+ABLATIONS = sorted(p.stem for p in CONFIGS.glob("ablation_[1-6]_*.json"))
+
+
+def test_the_six_ablation_configs_are_listed():
+    assert len(ABLATIONS) == 6
+
+
+@pytest.mark.parametrize("config_name", ABLATIONS)
+def test_an_ablation_passes_the_end_to_end_gradcheck(config_name):
+    """A plain check of the model's forward and loss over the ``verify.PICKS``
+    the config trains, at the full-model check's jittered point; the text-free
+    configs train ``decoder.head.W`` as their class head."""
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+    model, rgb, th, vocab, labels = verify.full_model_setup(0, cfg)
+    trained = dict(model.registry.trainable())
+    picks = [n for n in verify.PICKS if n in trained]
+    report = gradcheck(
+        lambda *_: total_loss(model.forward(rgb, th, vocab, verify.POINTS).logits,
+                              labels),
+        [trained[n] for n in picks], tol=1e-4, max_coords_per_input=4,
+        rng=np.random.default_rng(1))
+    assert report.passed, (picks[report.worst_input], report.max_rel_err)
+    assert report.checked_coords == 4 * len(picks)
