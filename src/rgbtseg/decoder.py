@@ -43,7 +43,7 @@ from .layers import (ConvTranspose2x2, LayerNorm, Linear, Mlp,
                      MultiHeadAttention, bilinear_resize, grid_to_tokens,
                      tokens_to_grid)
 from .params import ParamRegistry, derive_rng
-from .prompts import ClassVocabulary, PromptEncoder
+from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
 from .tensor import Tensor
 
 
@@ -82,11 +82,10 @@ class TwoWayLayer:
 
 
 class MaskDecoder:
-    """``forward`` runs three stages: ``two_way_transformer`` on the encoder
-    output, ``upscale_masks`` on the refined grid, and ``classify`` on the
-    upscaled features (the text path, ``class_logits`` and the class-order
-    gather, or the text-free head). A caller holding one stage's input can
-    run that stage and those after it."""
+    """``stages`` lists the decoder: ``two_way_transformer`` on the encoder
+    output (the stage encodes the point prompts itself), ``upscale_masks``, and
+    ``classify`` on the upscaled features (the text path, ``class_logits`` and
+    the class-order gather, or the text-free head)."""
 
     def __init__(self, reg: ParamRegistry, cfg, prompt_encoder: PromptEncoder,
                  seed: int):
@@ -114,8 +113,7 @@ class MaskDecoder:
         self.up2 = ConvTranspose2x2(reg, "decoder.upscale.2", d // 2, self.d_m, r2)
 
         self.prompt_encoder = prompt_encoder
-        self.enable_text = cfg.enable_text
-        if self.enable_text:
+        if cfg.enable_text:
             rtx = derive_rng(seed, "decoder.text_attn")
             # unit-norm text rows: std 1 keeps projected keys/values at unit
             # scale, so class scores start at O(1) instead of vanishing
@@ -181,7 +179,7 @@ class MaskDecoder:
         """Logits [..., H, W, C] in ``vocab`` order from the upscaled mask
         features ``e_mask``: the text path (text cross-attention and
         ``class_logits``) or, without it, the per-class linear head."""
-        if not self.enable_text:
+        if not self.cfg.enable_text:
             return bilinear_resize(self.head(e_mask), *out_size)
         # Run every class-axis matmul in canonical (name-sorted) order and
         # only reorder channels at the very end: BLAS kernels are not bitwise
@@ -194,10 +192,14 @@ class MaskDecoder:
         logits = self.class_logits(e_mask, text_scores, keys, out_size)
         return logits[..., np.argsort(order)]
 
-    # -- full pass ---------------------------------------------------------------
-
-    def forward(self, e_en: Tensor, vocab: ClassVocabulary, sparse: Tensor,
-                out_size: tuple[int, int]) -> DecoderOutputs:
-        e_m = self.two_way_transformer(e_en, sparse)
-        return DecoderOutputs(logits=self.classify(self.upscale_masks(e_m), vocab,
-                                                   out_size))
+    def stages(self, vocab: ClassVocabulary, points: PointPrompt,
+               size: tuple[int, int]) -> list:
+        """The decoder as a list in the form of ``RgbtEncoder.stages``, from the
+        encoder output to the logits [..., H, W, C] at ``size`` in ``vocab``
+        order. Each stage looks its method up when it runs."""
+        return [(("decoder.twoway.", "decoder.tokens.", "prompt."),
+                 lambda e: self.two_way_transformer(
+                     e, self.prompt_encoder.encode_points(points, size))),
+                (("decoder.upscale.",), lambda e: self.upscale_masks(e)),
+                (("decoder.text_attn.", "decoder.head."),
+                 lambda e: self.classify(e, vocab, size))]

@@ -57,10 +57,9 @@ class DffmBlock:
 
 
 class RgbtEncoder:
-    """With fusion enabled, ``forward`` is the two patch embeddings followed
-    by a loop over ``stage(i, f_dffm, f_tb)``: fusion block i, then
-    transformer block i, returning both streams. A caller holding the streams
-    entering stage k can run stages k and later itself."""
+    """``stages`` lists the encoder: the patch embeddings, then one stage per
+    block i (fusion block i and block i; for the baseline, block i on the
+    concatenated tokens). ``forward`` folds the list."""
 
     def __init__(self, reg: ParamRegistry, cfg, seed: int):
         self.cfg = cfg
@@ -79,8 +78,7 @@ class RgbtEncoder:
                              cfg.lora_rank, cfg.lora_alpha)
             for i in range(cfg.depth)
         ]
-        self.enable_dffm = cfg.enable_dffm
-        if self.enable_dffm:
+        if cfg.enable_dffm:
             self.dffm = [
                 DffmBlock(reg, f"encoder.dffm.{i}", d, cfg.se_reduction,
                           derive_rng(seed, f"encoder.dffm.{i}"))
@@ -90,27 +88,38 @@ class RgbtEncoder:
     def forward(self, rgb: Tensor, th: Tensor) -> Tensor:
         """Run the full encoder; returns the image embedding grid [..., Hp, Wp, d]."""
         if rgb.shape[:-1] != th.shape[:-1]:
-            raise ShapeError(
-                f"rgb {rgb.shape[:-1]} and thermal {th.shape[:-1]} differ in "
-                "batch or pixel axes"
-            )
-        f_dffm = self.thermal_embed(th)
-        f_tb = self.rgb_embed(rgb)
+            raise ShapeError(f"rgb {rgb.shape[:-1]} and thermal {th.shape[:-1]} "
+                             "differ in batch or pixel axes")
+        x = (rgb, th)
+        for _, stage in self.stages(rgb.shape[-3:-1]):
+            x = stage(x)
+        return x
 
-        if not self.enable_dffm:
-            hp, wp, _ = f_tb.shape[-3:]
-            tokens = T.concat([grid_to_tokens(f_tb), grid_to_tokens(f_dffm)], axis=-2)
-            for block in self.blocks:
-                tokens = block(tokens)
-            return tokens_to_grid(tokens[..., :hp * wp, :], hp, wp)
-        for i in range(len(self.blocks)):
-            f_dffm, f_tb = self.stage(i, f_dffm, f_tb)
-        return f_tb
+    def stages(self, size: tuple[int, int]) -> list:
+        """The encoder on images of pixel size ``size``: (the parameter-name
+        prefixes the stage is first to read, a function from its input to the
+        next stage's) from (rgb, thermal) to the image embedding grid."""
+        hp, wp = size[0] // self.cfg.patch, size[1] // self.cfg.patch
+        last = len(self.blocks) - 1
+        if self.cfg.enable_dffm:
+            def embed(x):
+                return self.thermal_embed(x[1]), self.rgb_embed(x[0])
 
-    def stage(self, i: int, f_dffm: Tensor, f_tb: Tensor) -> tuple[Tensor, Tensor]:
-        """Fusion stage ``i``: fusion block i, then transformer block i on the
-        fused backbone stream. Returns the two streams entering stage i + 1."""
-        hp, wp, _ = f_tb.shape[-3:]
-        f_dffm = self.dffm[i](f_dffm, f_tb)
-        f_tb = tokens_to_grid(self.blocks[i](grid_to_tokens(f_tb + f_dffm)), hp, wp)
-        return f_dffm, f_tb
+            def stage(i, x):
+                f_dffm, f_tb = x
+                f_dffm = self.dffm[i](f_dffm, f_tb)
+                f_tb = tokens_to_grid(self.blocks[i](grid_to_tokens(f_tb + f_dffm)),
+                                      hp, wp)
+                return f_tb if i == last else (f_dffm, f_tb)
+        else:
+            def embed(x):
+                return T.concat([grid_to_tokens(self.rgb_embed(x[0])),
+                                 grid_to_tokens(self.thermal_embed(x[1]))], axis=-2)
+
+            def stage(i, tokens):  # the last keeps the RGB-position tokens
+                out = self.blocks[i](tokens)
+                return out if i < last else tokens_to_grid(out[..., :hp * wp, :], hp, wp)
+        # the baseline has no encoder.dffm parameters
+        return [(("encoder.thermal_embed.", "encoder.rgb_embed."), embed),
+                *[((f"encoder.dffm.{i}.", f"encoder.blocks.{i}."),
+                   lambda x, i=i: stage(i, x)) for i in range(last + 1)]]

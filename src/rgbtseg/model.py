@@ -40,10 +40,11 @@ class RgbtSegModel:
             raise ShapeError(f"rgb must be [..., H, W, 3], got {rgb.shape}")
         if th.ndim < 3 or th.shape[-1] != 1:
             raise ShapeError(f"thermal must be [..., H, W, 1], got {th.shape}")
-        h, w = rgb.shape[-3], rgb.shape[-2]
-        e_en = self.encoder.forward(rgb, th)
-        sparse = self.prompt_encoder.encode_points(points or PointPrompt([]), (h, w))
-        return self.decoder.forward(e_en, vocab, sparse, (h, w))
+        x = self.encoder.forward(rgb, th)
+        for _, stage in self.decoder.stages(vocab, points or PointPrompt([]),
+                                            rgb.shape[-3:-1]):
+            x = stage(x)
+        return DecoderOutputs(logits=x)
 
     def predict(self, rgb, th, vocab: ClassVocabulary,
                 points: PointPrompt | None = None) -> np.ndarray:

@@ -6,15 +6,14 @@ output convs) first; otherwise those paths would be checked at a point where
 both analytic and numeric gradients vanish identically.
 
 Its gradients come from one taped full forward. Its finite differences do
-not re-run what a perturbed parameter cannot change. ``stage_chain`` writes
-the forward once as a list of stages (the patch embeddings, each fusion
-stage, the two-way transformer, the upscaling, and the class head with the
-loss), each tagged with the parameter prefixes it is first to read. Every
-stage's input is computed once without a tape, and each picked parameter
-gets a ``gradcheck`` evaluator that resumes the chain at the first stage
-reading it. The stages before it compute exactly the cached input, so the
-report is bitwise the report of a check that runs the full forward for every
-evaluation.
+not re-run what a perturbed parameter cannot change. ``loss_chain`` is the
+model's stages on any config (``RgbtEncoder.stages``, then
+``MaskDecoder.stages``, each tagged with the parameter prefixes it is first
+to read) with the loss appended. Every stage's input is computed once without
+a tape, and each picked parameter gets a ``gradcheck`` evaluator that resumes
+the chain at the first stage reading it. The stages before it compute
+exactly the cached input, so the report is bitwise the report of a check
+that runs the full forward for every evaluation.
 """
 
 from __future__ import annotations
@@ -202,44 +201,30 @@ def full_model_setup(seed: int = 0, cfg: RunConfig | None = None):
     return model, Tensor(sample.rgb), Tensor(sample.thermal), vocab, sample.labels
 
 
-def stage_chain(model: RgbtSegModel, rgb: Tensor, th: Tensor, vocab: ClassVocabulary,
-                labels: np.ndarray, points: PointPrompt) -> list:
-    """The full-model check's forward as a list of stages, in order. Each entry
-    is (the parameter-name prefixes the stage is first to read, a function
-    from the stage's input to the next stage's input). The first stage takes
-    (rgb, thermal) and the last returns ``total_loss``; folding the chain
-    computes the same ops as ``model.forward`` with ``points`` followed by
-    ``total_loss``. The two-way stage encodes the points itself, so it is the
-    first to read ``prompt.point_labels``."""
-    enc, dec, pe = model.encoder, model.decoder, model.prompt_encoder
-    size = rgb.shape[-3:-1]
-    return [
-        (("encoder.thermal_embed.", "encoder.rgb_embed."),
-         lambda x: (enc.thermal_embed(x[1]), enc.rgb_embed(x[0]))),
-        *[((f"encoder.dffm.{i}.", f"encoder.blocks.{i}."),
-           lambda x, i=i: enc.stage(i, *x)) for i in range(len(enc.blocks))],
-        (("decoder.twoway.", "decoder.tokens.", "prompt."),
-         lambda x: dec.two_way_transformer(x[1], pe.encode_points(points, size))),
-        (("decoder.upscale.",), dec.upscale_masks),
-        (("decoder.text_attn.", "decoder.head."),
-         lambda x: total_loss(dec.classify(x, vocab, size), labels)),
-    ]
+def loss_chain(model: RgbtSegModel, vocab: ClassVocabulary, labels: np.ndarray,
+               points: PointPrompt, size: tuple[int, int]) -> list:
+    """The model's stages on images of pixel size ``size``, encoder then
+    decoder, with ``total_loss`` appended to the last stage. Folding the chain
+    from (rgb, thermal) computes the same ops as ``model.forward`` with
+    ``points`` followed by ``total_loss``."""
+    *chain, (prefixes, classify) = (model.encoder.stages(size)
+                                    + model.decoder.stages(vocab, points, size))
+    return [*chain, (prefixes, lambda x: total_loss(classify(x), labels))]
 
 
-def full_model_check(seed: int = 0, tol: float = 1e-4,
-                     max_coords_per_input: int = 6) -> GradCheckReport:
-    """End-to-end gradient check of total_loss through encoder and decoder.
-
-    One ``gradcheck`` over ``PICKS``: the analytic gradients come from one
-    taped full forward. The finite differences of each pick resume
-    ``stage_chain`` at the first stage whose prefixes match the pick, from that
-    stage's input, computed once by folding the chain without a tape; picks of
-    the first stage run ``model.forward`` itself. No earlier stage reads the
-    pick, so every resumed value is the full forward's, and the report equals,
-    field for field, a check that runs the full forward for every evaluation.
-    """
-    model, rgb, th, vocab, labels = full_model_setup(seed)
-    chain = stage_chain(model, rgb, th, vocab, labels, POINTS)
+def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int = 6,
+                     cfg: RunConfig | None = None) -> GradCheckReport:
+    """End-to-end gradient check of total_loss through encoder and decoder, on
+    the model of ``cfg`` (the default config if None), over the ``PICKS`` it
+    trains. The analytic gradients come from one taped full forward. The
+    finite differences of each pick resume ``loss_chain`` at the first stage
+    whose prefixes match the pick, from that stage's input, computed once by
+    folding the chain without a tape; picks of the first stage run
+    ``model.forward`` itself. No earlier stage reads the pick, so the report
+    equals, field for field, a check that runs the full forward for every
+    evaluation."""
+    model, rgb, th, vocab, labels = full_model_setup(seed, cfg)
+    chain = loss_chain(model, vocab, labels, POINTS, rgb.shape[-3:-1])
     inputs = [(rgb, th)]
     with T.no_grad():
         for _, step in chain[:-1]:
@@ -257,9 +242,11 @@ def full_model_check(seed: int = 0, tol: float = 1e-4,
     evaluators = [lambda *_: total_loss(model.forward(rgb, th, vocab, POINTS).logits,
                                         labels),
                   *map(resume, range(1, len(chain)))]
+    trained = dict(model.registry.trainable())
+    picks = [n for n in PICKS if n in trained]
     first = [next(k for k, (prefixes, _) in enumerate(chain) if n.startswith(prefixes))
-             for n in PICKS]
-    return gradcheck(evaluators[0], [model.registry.get(n) for n in PICKS],
+             for n in picks]
+    return gradcheck(evaluators[0], [trained[n] for n in picks],
                      tol=tol, max_coords_per_input=max_coords_per_input,
                      rng=np.random.default_rng(seed + 1),
                      evaluators=[evaluators[k] for k in first])

@@ -1,7 +1,8 @@
 """The suite checks the ops the model runs, and the full-model check resumes
-each pick's finite differences at the first stage of ``verify.stage_chain``
-that reads the pick, from stage inputs computed once; that must not change
-the report."""
+each pick's finite differences at the first stage of ``verify.loss_chain``
+(the encoder's and the decoder's stages, then the loss) that reads the pick,
+from stage inputs computed once; on every config that must not change the
+report."""
 
 from pathlib import Path
 
@@ -52,18 +53,26 @@ def test_the_model_runs_exactly_the_listed_ops(monkeypatch):
     assert ops == MODEL_OPS
 
 
-def test_split_report_equals_one_check_of_the_full_forward():
-    seed = 2
-    report = verify.full_model_check(seed, max_coords_per_input=1)
+CONFIG_NAMES = sorted(p.stem for p in CONFIGS.glob("ablation_*.json"))
+# how many of ``verify.PICKS`` each config trains
+PICKED = dict(zip(CONFIG_NAMES, (9, 11, 14, 12, 15, 14, 17)))
 
-    model, rgb, th, vocab, labels = verify.full_model_setup(seed)
+
+@pytest.mark.parametrize("config_name", CONFIG_NAMES)
+def test_split_report_equals_one_check_of_the_full_forward(config_name):
+    seed = 2
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+    report = verify.full_model_check(seed, max_coords_per_input=1, cfg=cfg)
+
+    model, rgb, th, vocab, labels = verify.full_model_setup(seed, cfg)
+    trained = dict(model.registry.trainable())
     reference = gradcheck(
         lambda *_: total_loss(model.forward(rgb, th, vocab, verify.POINTS).logits,
                               labels),
-        [model.registry.get(n) for n in verify.PICKS], tol=1e-4,
+        [trained[n] for n in verify.PICKS if n in trained], tol=1e-4,
         max_coords_per_input=1, rng=np.random.default_rng(seed + 1))
 
-    assert len(report.per_input) == 17
+    assert len(report.per_input) == PICKED[config_name]
     assert report == reference  # every field, bitwise
 
 
@@ -80,9 +89,13 @@ def _arrays(x):
     return [t.data for t in (x if isinstance(x, tuple) else (x,))]
 
 
-def test_each_trainable_parameter_is_first_read_by_one_stage():
-    model, rgb, th, vocab, labels = verify.full_model_setup(0)
-    chain = verify.stage_chain(model, rgb, th, vocab, labels, verify.POINTS)
+# between them every ablation switch takes both values; the baseline's
+# embedding stage concatenates the token sequences and its last stage slices
+@pytest.mark.parametrize("config_name", ["ablation_1_baseline", "ablation_7_full"])
+def test_each_trainable_parameter_is_first_read_by_one_stage(config_name):
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+    model, rgb, th, vocab, labels = verify.full_model_setup(0, cfg)
+    chain = verify.loss_chain(model, vocab, labels, verify.POINTS, rgb.shape[-3:-1])
     xs = _fold(chain, rgb, th)
     # folding the chain is the model's forward and loss, bitwise
     assert xs[-1].item() == total_loss(
@@ -131,17 +144,11 @@ def test_the_six_ablation_configs_are_listed():
 
 @pytest.mark.parametrize("config_name", ABLATIONS)
 def test_an_ablation_passes_the_end_to_end_gradcheck(config_name):
-    """A plain check of the model's forward and loss over the ``verify.PICKS``
-    the config trains, at the full-model check's jittered point; the text-free
-    configs train ``decoder.head.W`` as their class head."""
+    """The full-model check over the ``verify.PICKS`` the config trains; the
+    text-free configs train ``decoder.head.W`` as their class head."""
     cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
-    model, rgb, th, vocab, labels = verify.full_model_setup(0, cfg)
-    trained = dict(model.registry.trainable())
+    trained = dict(RgbtSegModel(cfg).registry.trainable())
     picks = [n for n in verify.PICKS if n in trained]
-    report = gradcheck(
-        lambda *_: total_loss(model.forward(rgb, th, vocab, verify.POINTS).logits,
-                              labels),
-        [trained[n] for n in picks], tol=1e-4, max_coords_per_input=4,
-        rng=np.random.default_rng(1))
+    report = verify.full_model_check(0, cfg=cfg, max_coords_per_input=4)
     assert report.passed, (picks[report.worst_input], report.max_rel_err)
     assert report.checked_coords == 4 * len(picks)
