@@ -2,23 +2,35 @@
 
 Layout (all integers little-endian):
   magic   4 bytes  b"TSEG"
-  version u32      currently 1
+  version u32      2 (version 1 still loads; only version 2 is written)
   count   u32      number of parameter records
   records          for each parameter:
       name_len u32, name bytes (utf-8),
       dtype    u8  (0 = float64; no other code is valid),
       ndim     u8, dims u32 * ndim,
-      frozen   u8,
-      raw little-endian scalar data
+      frozen   u8  (0 or 1),
+      frozen 0:    the raw little-endian scalar data;
+      frozen 1:    the 32-byte SHA-256 of that raw data
+                   (version 1: the raw data itself)
   crc32   u32      zlib.crc32 of every preceding byte
 
-Round trips are bit-exact, including frozen flags.
+A frozen tensor is regenerated bitwise from the config's ``backbone_seed``,
+so a file stores only the trained tensors and a digest of each frozen one:
+0.7 MB for the default model, against 3.5 MB when version 1 stored every
+value. A loaded frozen record is a ``FrozenDigest``, from either version;
+``ParamRegistry.load_state`` checks the regenerated weights against it.
+
+Round trips are bit-exact, including frozen flags and digests.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
 import zlib
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,31 +56,54 @@ class TruncatedError(CheckpointError):
 
 
 MAGIC = b"TSEG"
-VERSION = 1
+VERSION = 2
 _FLOAT64 = 0  # the one record dtype code
 _F8 = np.dtype("<f8")
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
-def serialize(state: dict[str, tuple[np.ndarray, bool]]) -> bytes:
+@dataclass(frozen=True)
+class FrozenDigest:
+    """A frozen tensor as a checkpoint holds it: its shape and the SHA-256 of
+    its raw little-endian float64 bytes."""
+
+    shape: tuple[int, ...]
+    sha256: bytes
+
+    @classmethod
+    def of(cls, arr: np.ndarray) -> FrozenDigest:
+        raw = np.ascontiguousarray(arr, dtype=_F8)
+        return cls(tuple(np.shape(arr)), hashlib.sha256(raw).digest())
+
+
+def serialize(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> bytes:
     out = [MAGIC, struct.pack("<II", VERSION, len(state))]
-    for name, (arr, frozen) in state.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype != np.float64:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
+    for name, (value, frozen) in state.items():
+        if isinstance(value, FrozenDigest):
+            if not frozen:
+                raise CheckpointError(f"trainable '{name}' has a digest, not data")
+            shape, data = value.shape, value.sha256
+        else:
+            arr = np.ascontiguousarray(value)
+            if arr.dtype != np.float64:
+                raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
+            shape = arr.shape
+            data = (FrozenDigest.of(arr).sha256 if frozen
+                    else arr.astype(_F8, copy=False).tobytes())
         nb = name.encode()
         out.append(struct.pack("<I", len(nb)))
         out.append(nb)
-        out.append(struct.pack("<BB", _FLOAT64, arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(struct.pack("<B", 1 if frozen else 0))
-        out.append(arr.astype(_F8, copy=False).tobytes())
+        out.append(struct.pack(f"<BB{len(shape)}IB", _FLOAT64, len(shape), *shape,
+                               1 if frozen else 0))
+        out.append(data)
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
-    """The state in ``blob``. The records are read through a view of the
-    blob, so each array is copied out of it once and owns its data."""
+def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]]:
+    """The state in ``blob``: a trainable record as an array that owns its
+    data, copied once out of a view of the blob, and a frozen record as a
+    ``FrozenDigest`` (of version 1, hashed from the blob view)."""
     if len(blob) < 16:
         raise TruncatedError(f"checkpoint too short ({len(blob)} bytes)")
     if blob[:4] != MAGIC:
@@ -77,10 +112,10 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
     if zlib.crc32(body) != stored_crc:
         raise ChecksumError("checksum mismatch: checkpoint corrupted or truncated")
     version, count = struct.unpack_from("<II", body, 4)
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise BadVersionError(f"unsupported checkpoint version {version}")
     pos = 12
-    state: dict[str, tuple[np.ndarray, bool]] = {}
+    state: dict[str, tuple[np.ndarray | FrozenDigest, bool]] = {}
     try:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, pos)
@@ -95,13 +130,21 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
             pos += 1
             if code != _FLOAT64:
                 raise CheckpointError(f"unknown dtype code {code} for '{name}'")
+            if frozen > 1:
+                raise CheckpointError(f"frozen flag {frozen} for '{name}' is not 0 or 1")
             n = int(np.prod(dims, dtype=np.int64))
-            nbytes = n * _F8.itemsize
+            nbytes = _DIGEST_SIZE if frozen and version == VERSION else n * _F8.itemsize
             if pos + nbytes > len(body):
                 raise TruncatedError(f"record '{name}' runs past end of file")
-            arr = np.frombuffer(body, dtype=_F8, count=n, offset=pos).reshape(dims)
+            raw = body[pos:pos + nbytes]
             pos += nbytes
-            state[name] = (arr.astype(np.float64), frozen)
+            if not frozen:
+                value = np.frombuffer(raw, dtype=_F8).reshape(dims).astype(np.float64)
+            elif version == VERSION:
+                value = FrozenDigest(dims, bytes(raw))
+            else:
+                value = FrozenDigest(dims, hashlib.sha256(raw).digest())
+            state[name] = (value, bool(frozen))
     except struct.error as e:
         raise TruncatedError(f"checkpoint ends mid-record: {e}") from e
     if pos != len(body):
@@ -109,11 +152,25 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray, bool]]:
     return state
 
 
-def save_checkpoint(state: dict[str, tuple[np.ndarray, bool]], path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(state))
+def save_checkpoint(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]],
+                    path) -> None:
+    """Write ``state`` to ``path`` through a temporary file beside it that
+    replaces ``path`` only once it is whole, so a failed or interrupted save
+    leaves the old file as it was."""
+    blob = serialize(state)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_checkpoint(path) -> dict[str, tuple[np.ndarray, bool]]:
+def load_checkpoint(path) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]]:
     with open(path, "rb") as fh:
         return deserialize(fh.read())

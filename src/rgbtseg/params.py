@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import FrozenDigest
 from .tensor import Tensor
 
 
@@ -62,23 +63,36 @@ class ParamRegistry:
     def state_dict(self) -> dict[str, tuple[np.ndarray, bool]]:
         return {n: (np.array(t.data), f) for n, (t, f) in self._entries.items()}
 
-    def load_state(self, state: dict[str, tuple[np.ndarray, bool]]) -> None:
-        """Copy arrays from ``state`` into the registered tensors in place."""
+    def load_state(self, state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> None:
+        """Copy the trainable arrays of ``state`` into the registered tensors in
+        place. A frozen entry (a ``FrozenDigest``, or an array that is hashed)
+        is not copied: the registered tensor must hash to it. Every name,
+        shape, frozen flag and digest is checked before anything is copied."""
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
             raise ValueError(
                 f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
-        for name, (arr, frozen) in state.items():
-            tensor, reg_frozen = self._entries[name]
-            if arr.shape != tensor.data.shape:
+        for name, (tensor, frozen) in self._entries.items():
+            value, stored_frozen = state[name]
+            if value.shape != tensor.data.shape:
                 raise ValueError(
-                    f"shape mismatch for '{name}': {arr.shape} vs {tensor.data.shape}"
+                    f"shape mismatch for '{name}': {value.shape} vs {tensor.data.shape}"
                 )
-            if frozen != reg_frozen:
+            if stored_frozen != frozen:
                 raise ValueError(f"frozen flag mismatch for '{name}'")
-            tensor.data[...] = arr
+            if not frozen:
+                continue
+            stored = value if isinstance(value, FrozenDigest) else FrozenDigest.of(value)
+            if FrozenDigest.of(tensor.data) != stored:
+                raise ValueError(
+                    f"frozen parameter '{name}' does not match the checkpoint's "
+                    "SHA-256: this model regenerates other frozen weights (another "
+                    "backbone_seed, or a numpy whose random stream changed)"
+                )
+        for name, tensor in self.trainable():
+            tensor.data[...] = state[name][0]
 
 
 def derive_rng(seed: int, name: str) -> np.random.Generator:

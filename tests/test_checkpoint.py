@@ -1,14 +1,36 @@
-"""Binary checkpoint format: round trips and typed corruption errors."""
+"""Binary checkpoint format: round trips, typed corruption errors, version 1
+files, atomic saves and the size and load-memory budgets."""
 
+import os
 import struct
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rgbtseg import checkpoint as ckpt
 from rgbtseg.checkpoint import (BadMagicError, BadVersionError, CheckpointError,
-                                ChecksumError, TruncatedError, deserialize,
-                                load_checkpoint, save_checkpoint, serialize)
+                                ChecksumError, FrozenDigest, TruncatedError,
+                                deserialize, load_checkpoint, save_checkpoint,
+                                serialize)
+from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.prompts import ClassVocabulary
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Bytes a default-config checkpoint may hold beyond its trainable data (85,712
+# float64 values, 685,696 B): 13,539 B of record headers and frozen-tensor
+# digests. Version 1 also stored the 346,368 frozen values, 3,465,731 B in all.
+CHECKPOINT_OVERHEAD_BUDGET = 16 * 2**10
+
+# The tracemalloc peak of loading a default-config checkpoint into a built
+# model, in MiB: 1.4 with the file blob and one copy of each trainable array;
+# 6.7 when the frozen data was stored, read and copied out as well.
+LOAD_PEAK_MIB_BUDGET = 2
 
 
 def _state():
@@ -29,9 +51,12 @@ def test_round_trip_bytes_and_values(tmp_path):
     assert serialize(loaded) == blob
     for name, (arr, frozen) in state.items():
         got, got_frozen = loaded[name]
-        assert np.array_equal(got, arr)
-        assert got.flags.owndata and got.flags.writeable
         assert got_frozen == frozen
+        if frozen:
+            assert got == FrozenDigest.of(arr)
+        else:
+            assert got.tobytes() == arr.tobytes()
+            assert got.flags.owndata and got.flags.writeable
 
 
 def test_bad_magic():
@@ -79,3 +104,118 @@ def test_record_dtype_code_other_than_float64_rejected():
 
 def test_empty_state_round_trips():
     assert deserialize(serialize({})) == {}
+
+
+def test_frozen_flag_other_than_0_or_1_rejected():
+    body = serialize({"x": (np.zeros(3), False)})[:-4]
+    body = body[:-25] + b"\x02" + body[-24:]
+    with pytest.raises(CheckpointError, match="frozen flag 2 for 'x' is not 0 or 1"):
+        deserialize(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_a_trainable_digest_is_not_serialized():
+    with pytest.raises(CheckpointError, match="trainable 'x' has a digest"):
+        serialize({"x": (FrozenDigest.of(np.zeros(3)), False)})
+
+
+def _serialize_v1(state):
+    """Version 1 as it was written: every record holds its raw data."""
+    out = [b"TSEG", struct.pack("<II", 1, len(state))]
+    for name, (arr, frozen) in state.items():
+        nb = name.encode()
+        out += [struct.pack("<I", len(nb)), nb,
+                struct.pack(f"<BB{arr.ndim}IB", 0, arr.ndim, *arr.shape, frozen),
+                arr.astype("<f8").tobytes()]
+    body = b"".join(out)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _trained_model(cfg):
+    """A model of ``cfg`` whose trainable tensors moved away from their init."""
+    model = RgbtSegModel(cfg)
+    rng = np.random.default_rng(3)
+    for _, tensor in model.registry.trainable():
+        tensor.data += rng.normal(0.0, 0.05, tensor.shape)
+    return model
+
+
+def _logits(model):
+    rng = np.random.default_rng(4)
+    vocab = ClassVocabulary.from_names(CLASS_NAMES, model.cfg.model.d_t,
+                                       model.cfg.backbone_seed)
+    return model.forward(rng.uniform(0.0, 1.0, (32, 32, 3)),
+                         rng.uniform(0.0, 1.0, (32, 32, 1)), vocab).logits.data
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_every_config_loads_back_with_bitwise_equal_logits(tmp_path, config):
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config}.json")
+    saved = _trained_model(cfg)
+    save_checkpoint(saved.state_dict(), tmp_path / "ckpt.tseg")
+    restored = RgbtSegModel(cfg)
+    restored.load_state(load_checkpoint(tmp_path / "ckpt.tseg"))
+    assert _logits(restored).tobytes() == _logits(saved).tobytes()
+
+
+def test_a_version_1_file_loads_into_the_same_model():
+    saved = _trained_model(RunConfig())
+    blob = _serialize_v1(saved.state_dict())
+    state = deserialize(blob)
+    # a v1 frozen record comes back as the digest a v2 file stores
+    assert serialize(state) == serialize(saved.state_dict())
+    restored = RgbtSegModel(RunConfig())
+    restored.load_state(state)
+    assert _logits(restored).tobytes() == _logits(saved).tobytes()
+
+
+def test_a_version_1_file_with_other_frozen_data_is_refused():
+    saved = RgbtSegModel(RunConfig())
+    state = saved.state_dict()
+    name = next(n for n, (_, frozen) in state.items() if frozen)
+    state[name][0].flat[0] += 1.0
+    restored = RgbtSegModel(RunConfig())
+    with pytest.raises(ValueError, match=f"frozen parameter '{name}' does not match"):
+        restored.load_state(deserialize(_serialize_v1(state)))
+
+
+@pytest.mark.parametrize("fail", ["serialize", "write"])
+def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch, fail):
+    path = tmp_path / "ckpt.tseg"
+    save_checkpoint(_state(), path)
+    old = path.read_bytes()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    if fail == "serialize":
+        monkeypatch.setattr(ckpt, "serialize", interrupted)
+    else:
+        monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises((KeyboardInterrupt, OSError)):
+        save_checkpoint({"c": (np.ones(7), False)}, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_the_default_checkpoint_stays_within_the_size_budget():
+    model = RgbtSegModel(RunConfig())
+    trainable_bytes = sum(t.data.nbytes for _, t in model.registry.trainable())
+    assert trainable_bytes == 685_696
+    size = len(serialize(model.state_dict()))
+    assert size <= trainable_bytes + CHECKPOINT_OVERHEAD_BUDGET, size
+
+
+def test_loading_the_default_checkpoint_stays_within_the_memory_budget(tmp_path):
+    path = tmp_path / "ckpt.tseg"
+    save_checkpoint(RgbtSegModel(RunConfig()).state_dict(), path)
+    model = RgbtSegModel(RunConfig())
+    tracemalloc.start()
+    try:
+        model.load_state(load_checkpoint(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LOAD_PEAK_MIB_BUDGET * 2**20, f"{peak / 2**20:.1f} MiB"

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from rgbtseg import cli
-from rgbtseg.checkpoint import load_checkpoint, save_checkpoint, serialize
+from rgbtseg.checkpoint import (FrozenDigest, load_checkpoint, save_checkpoint,
+                                serialize)
 from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.optim import AdamW
@@ -75,7 +76,12 @@ def test_train_zero_steps_equals_init(tmp_path, dataset):
     state = load_checkpoint(out / "checkpoint.tseg")
     fresh = RgbtSegModel(RunConfig()).state_dict()
     assert set(state) == set(fresh)
-    assert all(np.array_equal(state[n][0], fresh[n][0]) for n in state)
+    for name, (value, frozen) in state.items():
+        assert frozen == fresh[name][1]
+        if frozen:
+            assert value == FrozenDigest.of(fresh[name][0])
+        else:
+            assert value.tobytes() == fresh[name][0].tobytes()
 
 
 def test_eval_deterministic(short_run, dataset, tmp_path):
@@ -125,6 +131,54 @@ def test_eval_config_mismatching_checkpoint_exits_2(short_run, dataset, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: parameter set mismatch")
     assert len(err.splitlines()) == 1
+
+
+def _other_backbone_seed(run, tmp_path):
+    """The run's checkpoint with a ``--config`` of another backbone_seed; every
+    frozen tensor differs, so the first one is named."""
+    cfg = RunConfig.from_json_file(run / "config.json")
+    cfg.backbone_seed += 1
+    config = tmp_path / "other_seed.json"
+    config.write_text(cfg.to_json())
+    frozen = [n for n, (_, f) in RgbtSegModel(cfg).registry.items() if f]
+    return [str(run / "checkpoint.tseg"), "--config", str(config)], frozen[0]
+
+
+def _flipped_digest(run, tmp_path):
+    """A copy of the run's checkpoint with one byte of the last frozen
+    record's digest flipped and the checksum recomputed."""
+    blob = (run / "checkpoint.tseg").read_bytes()
+    name = [n for n, (_, f) in load_checkpoint(run / "checkpoint.tseg").items() if f][-1]
+    nb = name.encode()
+    header = blob.index(struct.pack("<I", len(nb)) + nb) + 4 + len(nb)
+    digest = header + 2 + 4 * blob[header + 1] + 1  # dtype, ndim, dims, frozen
+    body = blob[:digest] + bytes([blob[digest] ^ 0x01]) + blob[digest + 1:-4]
+    ckpt = tmp_path / "bare" / "checkpoint.tseg"
+    ckpt.parent.mkdir()
+    for sibling in ("config.json", "classes.json"):
+        shutil.copy(run / sibling, ckpt.parent)
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return [str(ckpt)], name
+
+
+@pytest.mark.parametrize("command", ["eval", "infer"])
+@pytest.mark.parametrize("case", [_other_backbone_seed, _flipped_digest],
+                         ids=["other_backbone_seed", "flipped_digest_byte"])
+def test_frozen_weight_mismatch_exits_2_naming_the_parameter(short_run, dataset, tmp_path,
+                                                             capsys, command, case):
+    ckpt_args, name = case(short_run, tmp_path)
+    out = tmp_path / "out"
+    argv = {"eval": ["--data", str(dataset)],
+            "infer": ["--rgb", str(dataset / "sample_0000_rgb.ppm"),
+                      "--thermal", str(dataset / "sample_0000_th.pgm")]}[command]
+    capsys.readouterr()
+    assert cli.main([command, "--ckpt", *ckpt_args, *argv, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"error: frozen parameter '{name}' does not match the "
+                          "checkpoint's SHA-256")
+    assert len(err.splitlines()) == 1
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_manifest_entry_missing_field_exits_2(dataset, tmp_path, capsys):
