@@ -89,15 +89,18 @@ def serialize(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> bytes
                 raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
             shape = arr.shape
             data = (FrozenDigest.of(arr).sha256 if frozen
-                    else arr.astype(_F8, copy=False).tobytes())
+                    else memoryview(arr.astype(_F8, copy=False)))
         nb = name.encode()
         out.append(struct.pack("<I", len(nb)))
         out.append(nb)
         out.append(struct.pack(f"<BB{len(shape)}IB", _FLOAT64, len(shape), *shape,
                                1 if frozen else 0))
         out.append(data)
-    body = b"".join(out)
-    return body + struct.pack("<I", zlib.crc32(body))
+    crc = 0
+    for chunk in out:
+        crc = zlib.crc32(chunk, crc)
+    out.append(struct.pack("<I", crc))
+    return b"".join(out)
 
 
 def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]]:

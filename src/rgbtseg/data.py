@@ -116,7 +116,7 @@ def gen_sample(size: tuple[int, int], seed: int, index: int) -> RgbtSample:
     # every class keeps at least one visible pixel
     for attempt in range(64):
         sample = _gen_sample_once(size, seed, index, attempt)
-        if set(np.unique(sample.labels)) == {0, 1, 2, 3}:
+        if np.bincount(sample.labels.ravel(), minlength=4).all():
             return sample
     raise RuntimeError("failed to generate a sample containing all classes")
 

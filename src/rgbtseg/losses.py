@@ -53,8 +53,7 @@ def _loss(logits: Tensor, labels: np.ndarray, ignore_label: int,
     if not n_valid.any():
         return Tensor(0.0)
     onehot = (labels == np.arange(c)[:, None, None]) & valid
-    return T.ce_dice(logits, onehot.astype(float), valid.astype(float),
-                     w_ce, w_dice, smooth)
+    return T.ce_dice(logits, onehot, valid, w_ce, w_dice, smooth)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,

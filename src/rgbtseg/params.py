@@ -18,6 +18,12 @@ class DuplicateParamError(ValueError):
     pass
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class ParamRegistry:
     """Ordered mapping of hierarchical parameter names to tensors.
 
@@ -61,7 +67,11 @@ class ParamRegistry:
             t.grad = None
 
     def state_dict(self) -> dict[str, tuple[np.ndarray, bool]]:
-        return {n: (np.array(t.data), f) for n, (t, f) in self._entries.items()}
+        """Every entry's array and frozen flag: a copy of a trainable array,
+        and a read-only view of a frozen one, which never changes and which a
+        checkpoint only hashes."""
+        return {n: (_read_only(t.data) if f else np.array(t.data), f)
+                for n, (t, f) in self._entries.items()}
 
     def load_state(self, state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> None:
         """Copy the trainable arrays of ``state`` into the registered tensors in

@@ -9,7 +9,11 @@ are not linked at all. Each closure saves exactly the arrays and shapes its
 backward reads, given which operands need a gradient: a frozen ``linear``
 saves none of its input, and no closure keeps an operand Tensor. So an
 intermediate array lives only as long as the caller or some backward still
-needs it. Calling ``backward()`` on a scalar walks the nodes in reverse
+needs it. One array is rebuilt instead of saved: ``attention`` keeps each
+softmax row's maximum and sum, not its probability matrix, and its backward
+recomputes the matrix from the saved head views with the forward's own ops in
+the forward's order, so the matrix and every gradient are bitwise those of a
+saved one. Calling ``backward()`` on a scalar walks the nodes in reverse
 topological order exactly once, deposits gradients on the leaf tensors that
 requested them, and releases each node's closure and parent links as soon as
 that node has run.
@@ -122,8 +126,10 @@ def _selects_each_once(index) -> bool:
         arr = np.asarray(part)
         arrays += 1
         if (arrays > 1 or arr.ndim != 1 or arr.dtype.kind not in "iu"
-                or arr.size == 0 or arr.min() < 0
-                or np.unique(arr).size != arr.size):
+                or arr.size == 0 or arr.min() < 0):
+            return False
+        arr = np.sort(arr)
+        if (arr[1:] == arr[:-1]).any():
             return False
     return True
 
@@ -582,7 +588,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     The last axis of each splits into ``heads`` heads, which merge back in the
     output [..., nq, d_v]. The softmax subtracts each row's maximum first.
     Leading axes broadcast, so one unbatched query stack can attend over a
-    batch."""
+    batch.
+
+    The tape keeps no probability matrix [..., heads, nq, nk], the largest
+    array a training step's tape would otherwise hold, but only each row's
+    maximum and sum [..., heads, nq, 1], as FlashAttention does (Dao et al.,
+    arXiv:2205.14135). Backward rebuilds the matrix from the saved head views
+    with the forward's own ops in the forward's order, so the matrix and
+    every gradient are bitwise those of a saved one, at the cost of one more
+    product of the head views."""
 
     def split(t):  # [..., n, d] -> [..., heads, n, d / heads]
         return np.swapaxes(t.reshape(*t.shape[:-1], heads, -1), -3, -2)
@@ -593,19 +607,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
     attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
+    row_max = attn.max(axis=-1, keepdims=True)
+    attn -= row_max
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    row_sum = attn.sum(axis=-1, keepdims=True)
+    attn /= row_sum
     out = np.swapaxes(np.matmul(attn, vh), -3, -2)
     data = out.reshape(*out.shape[:-2], -1)
     qn, kn, vn = _grad_node(q), _grad_node(k), _grad_node(v)
     q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
     qh_shape, kh_shape, vh_shape = qh.shape, kh.shape, vh.shape
-    qh = qh if kn is not None else None
-    kh = kh if qn is not None else None
     vh = vh if qn is not None or kn is not None else None
 
     def backward(g, acc):
+        attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
+        attn *= scale
+        attn -= row_max
+        np.exp(attn, out=attn)
+        attn /= row_sum
         go = split(g)
         if vn is not None:
             acc(vn, merge(_unbroadcast(np.matmul(np.swapaxes(attn, -1, -2), go),
@@ -614,6 +633,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
             gs = np.matmul(go, np.swapaxes(vh, -1, -2))
             gs -= (gs * attn).sum(axis=-1, keepdims=True)
             gs *= attn
+            del attn
             gs *= scale
             if qn is not None:
                 acc(qn, merge(_unbroadcast(np.matmul(gs, kh), qh_shape), q_shape))
@@ -636,10 +656,18 @@ def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
     then averaged over the S images; an image without valid pixels adds 0. A
     zero weight skips its term. The class axis runs first so that every class
     reduction is an elementwise op over [S, N] planes.
+
+    ``onehot`` and ``valid`` may be ``bool``: numpy promotes them to exactly
+    1.0 and 0.0, so the result is bitwise that of float masks, at an eighth of
+    their bytes. Besides the saved probabilities ``p``, the forward holds at
+    most one more [C, S, N] float array at a time: each product with a mask is
+    taken in place once nothing else reads the array it overwrites.
     """
     c = logits.shape[-1]
     s, n = valid.shape
-    x = np.ascontiguousarray(np.moveaxis(logits.data.reshape(s, n, c), -1, 0))
+    # always a copy, even where the class-major view is contiguous (C = 1):
+    # the CE term overwrites it
+    x = np.array(np.moveaxis(logits.data.reshape(s, n, c), -1, 0), order="C")
     xmax = x.max(axis=0)
     p = x - xmax
     np.exp(p, out=p)
@@ -649,12 +677,16 @@ def ce_dice(logits: Tensor, onehot: np.ndarray, valid: np.ndarray,
     weight = (n_valid > 0) / s
     ce = dice = 0.0
     if w_ce:
-        per_pixel = (np.log(total) + xmax - (x * onehot).sum(axis=0)) * valid
+        x *= onehot
+        per_pixel = (np.log(total) + xmax - x.sum(axis=0)) * valid
         ce = (per_pixel.sum(axis=-1) * (weight / np.maximum(n_valid, 1))).sum()
+    del x
     if w_dice:
         pv = p * valid
         denom = pv.sum(axis=-1) + onehot.sum(axis=-1) + smooth
-        coef = ((pv * onehot).sum(axis=-1) * 2.0 + smooth) / denom
+        pv *= onehot
+        coef = (pv.sum(axis=-1) * 2.0 + smooth) / denom
+        del pv
         dice = ((1.0 - coef.mean(axis=0)) * weight).sum()
     data = np.asarray(w_ce * ce + w_dice * dice)
     node = _grad_node(logits)

@@ -1,4 +1,9 @@
-"""Shared fixtures: a small dataset and default configs."""
+"""Shared fixtures: a small dataset, default configs and a tracemalloc probe
+for the memory budgets."""
+
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,3 +34,24 @@ def tiny_dataset():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def traced_memory():
+    """A context manager that traces Python allocations inside its block and,
+    on exit, sets ``held`` (bytes allocated in the block and still held) and
+    ``peak`` (the most bytes held at once) on the object it yields."""
+
+    @contextmanager
+    def trace():
+        mem = SimpleNamespace(held=0, peak=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            yield mem
+            current, mem.peak = tracemalloc.get_traced_memory()
+            mem.held = current - before
+        finally:
+            tracemalloc.stop()
+
+    return trace

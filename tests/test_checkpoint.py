@@ -1,9 +1,8 @@
 """Binary checkpoint format: round trips, typed corruption errors, version 1
-files, atomic saves and the size and load-memory budgets."""
+files, atomic saves and the size, load-memory and save-memory budgets."""
 
 import os
 import struct
-import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -31,6 +30,12 @@ CHECKPOINT_OVERHEAD_BUDGET = 16 * 2**10
 # model, in MiB: 1.4 with the file blob and one copy of each trainable array;
 # 6.7 when the frozen data was stored, read and copied out as well.
 LOAD_PEAK_MIB_BUDGET = 2
+
+# The tracemalloc peak of saving a default-config model's state, in MiB: 1.5
+# with one copy of each trainable array and the file blob built in one join;
+# 5.4 when the state copied every frozen array too and the trainable bytes
+# were copied three times on the way to the blob.
+SAVE_PEAK_MIB_BUDGET = 2
 
 
 def _state():
@@ -172,7 +177,9 @@ def test_a_version_1_file_with_other_frozen_data_is_refused():
     saved = RgbtSegModel(RunConfig())
     state = saved.state_dict()
     name = next(n for n, (_, frozen) in state.items() if frozen)
-    state[name][0].flat[0] += 1.0
+    other = state[name][0].copy()
+    other.flat[0] += 1.0
+    state[name] = (other, True)
     restored = RgbtSegModel(RunConfig())
     with pytest.raises(ValueError, match=f"frozen parameter '{name}' does not match"):
         restored.load_state(deserialize(_serialize_v1(state)))
@@ -208,14 +215,27 @@ def test_the_default_checkpoint_stays_within_the_size_budget():
     assert size <= trainable_bytes + CHECKPOINT_OVERHEAD_BUDGET, size
 
 
-def test_loading_the_default_checkpoint_stays_within_the_memory_budget(tmp_path):
+def test_loading_the_default_checkpoint_stays_within_the_memory_budget(tmp_path,
+                                                                      traced_memory):
     path = tmp_path / "ckpt.tseg"
     save_checkpoint(RgbtSegModel(RunConfig()).state_dict(), path)
     model = RgbtSegModel(RunConfig())
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         model.load_state(load_checkpoint(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= LOAD_PEAK_MIB_BUDGET * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert mem.peak <= LOAD_PEAK_MIB_BUDGET * 2**20, f"{mem.peak / 2**20:.1f} MiB"
+
+
+def test_saving_the_default_checkpoint_stays_within_the_memory_budget(tmp_path,
+                                                                     traced_memory):
+    model = RgbtSegModel(RunConfig())
+    with traced_memory() as mem:
+        save_checkpoint(model.state_dict(), tmp_path / "ckpt.tseg")
+    assert mem.peak <= SAVE_PEAK_MIB_BUDGET * 2**20, f"{mem.peak / 2**20:.1f} MiB"
+
+
+def test_a_state_dict_copies_trainable_arrays_and_views_frozen_ones():
+    model = RgbtSegModel(RunConfig())
+    for name, (arr, frozen) in model.state_dict().items():
+        data = model.registry.get(name).data
+        assert np.shares_memory(arr, data) == frozen, name
+        assert arr.flags.writeable != frozen, name

@@ -2,7 +2,6 @@
 loaded samples held at file precision."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,20 +109,15 @@ def test_generated_fields_are_returned_as_they_are():
 FILE_BYTES_PER_PIXEL = 5
 
 
-def test_loaded_samples_retain_the_file_bytes(tmp_path):
+def test_loaded_samples_retain_the_file_bytes(tmp_path, traced_memory):
     n, size = 8, 64
     save_dataset(gen_synthetic(n, (size, size), seed=4), tmp_path)
     load_dataset(tmp_path)  # the first call may build module-level state
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         samples, _ = load_dataset(tmp_path)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
     assert len(samples) == n
     # float64 images and int64 labels would retain 40 bytes per pixel
-    assert retained <= 1.1 * FILE_BYTES_PER_PIXEL * n * size * size, retained
+    assert mem.held <= 1.1 * FILE_BYTES_PER_PIXEL * n * size * size, mem.held
 
 
 def test_training_on_loaded_samples_equals_training_on_float_copies(tmp_path):

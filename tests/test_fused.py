@@ -1,11 +1,14 @@
 """Fused tape nodes against the elementary-op compositions they replace: the
-forward is bitwise equal and the gradients agree to rounding."""
+forward is bitwise equal and the gradients agree to rounding. What the
+attention and loss nodes keep for backward, and the attention gradients
+against a node that keeps its probabilities, bit for bit."""
 
 import numpy as np
 import pytest
 
 from ref_ops import div, exp, log, neg, pow, sub
 from rgbtseg import tensor as T
+from rgbtseg.losses import total_loss
 from rgbtseg.tensor import NumericError, Tensor
 
 
@@ -45,6 +48,87 @@ def _attention_ref(q, k, v, heads, scale):
     lead = out.ndim - 3
     out = out.transpose(*range(lead), lead + 1, lead, lead + 2)
     return out.reshape(*out.shape[:-2], -1)
+
+
+def _attention_keeping_probabilities(q, k, v, heads, scale):
+    """``T.attention`` with its probability matrix saved for backward instead
+    of rebuilt there: the reference its gradients must equal bit for bit."""
+
+    def split(t):
+        return np.swapaxes(t.reshape(*t.shape[:-1], heads, -1), -3, -2)
+
+    def merge(t, shape):
+        return np.swapaxes(t, -3, -2).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    attn = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = np.swapaxes(np.matmul(attn, vh), -3, -2)
+    nodes = [T._grad_node(t) for t in (q, k, v)]
+
+    def backward(g, acc):
+        go = split(g)
+        acc(nodes[2], merge(T._unbroadcast(np.matmul(np.swapaxes(attn, -1, -2), go),
+                                           vh.shape), v.shape))
+        gs = np.matmul(go, np.swapaxes(vh, -1, -2))
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
+        acc(nodes[0], merge(T._unbroadcast(np.matmul(gs, kh), qh.shape), q.shape))
+        acc(nodes[1], merge(T._unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qh),
+                                           kh.shape), k.shape))
+
+    return Tensor._from_op(out.reshape(*out.shape[:-2], -1), tuple(nodes), backward,
+                           "attention")
+
+
+# (q, k, v shapes, heads, scale) of the model's attention calls at batch 4 and
+# unbatched, 64x64: encoder self-attention, the two-way decoder's token
+# self-attention, token-to-image (one unbatched query stack over the batch)
+# and image-to-token, and the one-head text cross-attention over all pixels
+ATTENTION_CALLS = {
+    "encoder": (((4, 64, 64), (4, 64, 64), (4, 64, 64)), 4, 0.25),
+    "encoder_unbatched": (((64, 64), (64, 64), (64, 64)), 4, 0.25),
+    "tokens": (((4, 5, 64), (4, 5, 64), (4, 5, 64)), 4, 0.25),
+    "token_to_image": (((5, 64), (4, 64, 64), (4, 64, 64)), 4, 0.25),
+    "image_to_token": (((4, 64, 64), (4, 5, 64), (4, 5, 64)), 4, 0.25),
+    "text": (((4096, 16), (4, 16), (4, 4)), 1, 32 ** -0.5),
+    "text_unbatched": (((1024, 16), (4, 16), (4, 4)), 1, 32 ** -0.5),
+}
+
+
+def _attention_inputs(shapes):
+    rng = np.random.default_rng(8)
+    return [Tensor(rng.normal(size=shape) * 2.0) for shape in shapes]
+
+
+@pytest.mark.parametrize("call", ATTENTION_CALLS.values(), ids=ATTENTION_CALLS.keys())
+def test_attention_keeps_no_probability_matrix(call):
+    shapes, heads, scale = call
+    q, k, v = _attention_inputs(shapes)
+    for t in (q, k, v):
+        t.requires_grad = True
+    scores = np.broadcast_shapes(shapes[0][:-2], shapes[1][:-2]) + (
+        heads, shapes[0][-2], shapes[1][-2])
+    out = T.attention(q, k, v, heads, scale)
+    saved = [c.cell_contents for c in out._node._backward.__closure__
+             if isinstance(c.cell_contents, np.ndarray)]
+    assert saved and all(arr.shape != scores for arr in saved)
+
+
+@pytest.mark.parametrize("call", ATTENTION_CALLS.values(), ids=ATTENTION_CALLS.keys())
+def test_attention_gradients_equal_a_node_keeping_its_probabilities(call):
+    shapes, heads, scale = call
+    inputs = _attention_inputs(shapes)
+    out, grads = _grads(lambda *t: T.attention(*t, heads, scale), inputs)
+    out_ref, grads_ref = _grads(lambda *t: _attention_keeping_probabilities(
+        *t, heads, scale), inputs)
+    assert out.tobytes() == out_ref.tobytes()
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.tobytes() == g_ref.tobytes()
 
 
 def _ce_dice_ref(logits, onehot, valid, w_ce, w_dice, smooth):
@@ -140,6 +224,41 @@ def test_ce_dice_matches_its_composition(w_ce, w_dice):
     assert abs(value - value_ref) <= 1e-14
     assert np.abs(grad - grad_ref).max() <= 1e-15
     assert not grad[2].any()
+
+
+def test_ce_dice_on_bool_masks_equals_float_masks_bitwise():
+    rng = np.random.default_rng(6)
+    logits = rng.normal(size=(2, 4, 5, 3)) * 2.0
+    labels = rng.integers(0, 3, (2, 20))
+    valid = rng.random((2, 20)) > 0.2
+    onehot = (labels == np.arange(3)[:, None, None]) & valid
+    results = []
+    for masks in ((onehot, valid), (onehot.astype(float), valid.astype(float))):
+        out, (grad,) = _grads(lambda t: T.ce_dice(t, *masks, 1.0, 0.7, 1.0),
+                              [Tensor(logits)])
+        results.append((out.tobytes(), grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_the_loss_keeps_one_float_class_stack_and_forms_one_more(traced_memory):
+    # many classes, so that the [S, N] planes weigh little against a stack
+    c, s, h, w = 16, 4, 32, 32
+    rng = np.random.default_rng(7)
+    logits = Tensor(rng.normal(size=(s, h, w, c)), requires_grad=True)
+    labels = rng.integers(0, c, (s, h, w))
+    labels[0, :8] = 255
+    stack_bytes = c * s * h * w * 8
+    with traced_memory() as mem:
+        loss = total_loss(logits, labels)
+    saved = [cell.cell_contents for cell in loss._node._backward.__closure__
+             if isinstance(cell.cell_contents, np.ndarray)
+             and cell.cell_contents.shape == (c, s, h * w)]
+    # the probabilities p, and the bool one-hot labels they are scored against
+    assert sorted(arr.dtype.kind for arr in saved) == ["b", "f"]
+    # p, the class-major logits or one masked product, and the bool masks and
+    # [S, N] planes; 5.4 stacks when the masks were float and every masked
+    # product a new array
+    assert mem.peak <= 3 * stack_bytes, mem.peak / stack_bytes
 
 
 def test_unchecked_keeps_the_tape_and_skips_the_per_op_check():

@@ -1,8 +1,10 @@
 """The training step: one finite check per step, a replay that names the op or
-the parameter, nothing moved by a failed step, and the tape-node and memory
-budgets."""
+the parameter, nothing moved by a failed step, the tape-node, memory and
+matmul budgets, and no numpy.ma import."""
 
-import tracemalloc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +26,21 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # weights and constants are not linked (443 nodes if they were).
 TAPE_NODE_BUDGET = 330
 
-# The tracemalloc peak of this step's forward and backward, in MiB: 16.6 when
-# the class head scores pixels in class space and GELU saves only its
-# derivative; 22.9 with the head in feature space and GELU saving its input
-# and tanh; 38.8 when every intermediate array lived until backward ended.
-STEP_PEAK_MIB_BUDGET = 20
+# The tracemalloc peak of this step's forward and backward, in MiB: 13.1 when
+# attention rebuilds its probabilities in backward and the loss holds bool
+# masks and one [C, S, N] temporary; 16.6 when every attention node kept its
+# probabilities and the loss its float masks; 22.9 with the class head in
+# feature space and GELU saving its input and tanh; 38.8 when every
+# intermediate array lived until backward ended.
+STEP_PEAK_MIB_BUDGET = 14
+
+
+# The np.matmul calls tensor.py issues for this step at batch 4, 64x64, and
+# their FLOPs (2 per multiply-add), in the forward and loss and in all: the
+# backward rebuilds the 11 linked attention nodes' scores with one product
+# each (360 calls and 429,427,200 FLOPs when every node kept them). Both
+# repeat exactly, so a change that adds a product or widens one fails here.
+MATMUL_BUDGET = {"forward": (140, 191_090_176), "step": (371, 439_011_456)}
 
 
 def _setup(steps=3, config="ablation_7_full"):
@@ -62,16 +74,69 @@ def test_training_step_stays_within_the_tape_node_budget():
     assert _tape_nodes(loss) <= TAPE_NODE_BUDGET
 
 
-def test_training_step_stays_within_the_memory_budget():
+def test_training_step_stays_within_the_memory_budget(traced_memory):
     cfg, model, vocab, _ = _setup()
     samples = gen_synthetic(4, (64, 64), seed=5)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         _step_loss(cfg, model, vocab, samples).backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= STEP_PEAK_MIB_BUDGET * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert mem.peak <= STEP_PEAK_MIB_BUDGET * 2**20, f"{mem.peak / 2**20:.1f} MiB"
+
+
+class _CountingNumpy:
+    """numpy, except that ``matmul`` counts its calls and FLOPs."""
+
+    def __init__(self):
+        self.calls = self.flops = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, *args, **kwargs):
+        out = np.matmul(a, b, *args, **kwargs)
+        self.calls += 1
+        self.flops += 2 * out.size * np.shape(a)[-1]
+        return out
+
+
+def test_training_step_stays_within_the_matmul_budget(monkeypatch):
+    cfg, model, vocab, _ = _setup()
+    samples = gen_synthetic(4, (64, 64), seed=5)
+    counter = _CountingNumpy()
+    monkeypatch.setattr(T, "np", counter)
+    loss = _step_loss(cfg, model, vocab, samples)
+    counts = {"forward": (counter.calls, counter.flops)}
+    loss.backward()
+    counts["step"] = (counter.calls, counter.flops)
+    for part, (calls, flops) in counts.items():
+        budget_calls, budget_flops = MATMUL_BUDGET[part]
+        assert calls <= budget_calls and flops <= budget_flops, (part, calls, flops)
+
+
+def test_training_and_the_gradcheck_suite_do_not_import_numpy_ma():
+    """numpy.ma costs 0.8 MB of RSS; numpy 2's ``np.unique`` imports it."""
+    src = Path(T.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    code = """
+import sys
+from rgbtseg import verify
+from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES, gen_synthetic
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.prompts import ClassVocabulary
+from rgbtseg.train import train
+cfg = RunConfig()
+cfg.train.steps = 2
+model = RgbtSegModel(cfg)
+vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
+train(model, vocab, gen_synthetic(4, (32, 32), seed=1), cfg.train)
+verify.run_suite(0)
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_finite_steps_run_no_per_op_check(monkeypatch):
