@@ -84,7 +84,7 @@ def serialize(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> bytes
                 raise CheckpointError(f"trainable '{name}' has a digest, not data")
             shape, data = value.shape, value.sha256
         else:
-            arr = np.ascontiguousarray(value)
+            arr = np.asarray(value, order="C")  # unlike ascontiguousarray, keeps 0-d
             if arr.dtype != np.float64:
                 raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
             shape = arr.shape

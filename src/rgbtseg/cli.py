@@ -40,11 +40,7 @@ class UsageError(Exception):
 
 
 def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        cfg = RunConfig()
-        cfg.validate()
-        return cfg
-    return RunConfig.from_json_file(path)
+    return RunConfig() if path is None else RunConfig.from_json_file(path)
 
 
 def _check_vocab(vocab: ClassVocabulary, cfg: RunConfig) -> None:
@@ -109,9 +105,7 @@ def cmd_train(args) -> int:
     vocab = (load_text_embeddings(args.classes) if args.classes
              else ClassVocabulary.from_names(class_names, cfg.model.d_t,
                                              cfg.backbone_seed))
-    if vocab.num_classes != cfg.model.num_classes:
-        cfg.model.num_classes = vocab.num_classes
-        cfg.validate()
+    cfg.model.num_classes = vocab.num_classes
     _check_vocab(vocab, cfg)
     cfg.train.check_ignore_label(vocab.num_classes)
     model = RgbtSegModel(cfg)

@@ -23,7 +23,6 @@ class ModelConfig:
     heads: int = 4
     depth: int = 4
     lora_rank: int = 4
-    lora_alpha: float | None = None  # None -> alpha = rank (scale 1)
     decoder_layers: int = 2
     mask_tokens: int = 4
     d_k: int = 32
@@ -46,7 +45,6 @@ class TrainConfig:
     steps: int = 200
     batch: int = 4
     seed: int = 0
-    cosine_lr: bool = False
 
     def check_ignore_label(self, num_classes: int) -> None:
         """Reject an ignore label that is one of the ``num_classes`` class
@@ -70,10 +68,10 @@ def _check_types(prefix: str, cfg) -> None:
     must be finite: JSON's ``NaN`` and ``Infinity`` pass every comparison
     check below and only fail mid-run."""
     for f in fields(cfg):
-        kind, _, optional = f.type.partition(" | ")  # annotations are strings here
-        value = getattr(cfg, f.name)
-        if kind not in _KINDS or (value is None and optional == "None"):
+        kind = f.type  # annotations are strings here
+        if kind not in _KINDS:
             continue
+        value = getattr(cfg, f.name)
         if not _KINDS[kind](value):
             raise ConfigValidationError(
                 f"{prefix}{f.name} must be {'an' if kind == 'int' else 'a'} "
@@ -81,6 +79,30 @@ def _check_types(prefix: str, cfg) -> None:
         if kind == "float" and not math.isfinite(value):
             raise ConfigValidationError(
                 f"{prefix}{f.name} must be finite, got {value!r}")
+
+
+# The retired key of each section, the values at which it still loads and the
+# test of them. ``to_json`` wrote both keys into every config.json before they
+# were retired, at values that leave the computation as it is now: adapters at
+# alpha = rank (W0 + B A) and a constant learning rate.
+_RETIRED = {
+    "model": ("lora_alpha", "null or equal to lora_rank", lambda v, values: v is None or (
+        _KINDS["float"](v) and v == values.get("lora_rank", ModelConfig.lora_rank))),
+    "train": ("cosine_lr", "false", lambda v, values: v is False),
+}
+
+
+def _drop_retired(section: str, values: dict) -> dict:
+    """``values`` without the section's retired key; the key at any value that
+    would change the computation is refused."""
+    key, allowed, keeps = _RETIRED[section]
+    values = dict(values)
+    if key in values:
+        value = values.pop(key)
+        if not keeps(value, values):
+            raise ConfigValidationError(
+                f"{section}.{key} is retired; it loads only as {allowed}, got {value!r}")
+    return values
 
 
 @dataclass
@@ -117,9 +139,6 @@ class RunConfig:
         if not (1 <= m.lora_rank < m.d):
             raise ConfigValidationError(
                 f"lora_rank must satisfy 1 <= r < d, got {m.lora_rank}")
-        if m.lora_alpha is not None and m.lora_alpha <= 0:
-            raise ConfigValidationError(
-                f"model.lora_alpha must be positive, got {m.lora_alpha!r}")
         t = self.train
         for k, v, least in (("lr", t.lr, "positive"),
                             ("weight_decay", t.weight_decay, "non-negative"),
@@ -148,16 +167,15 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigValidationError(f"unknown config keys: {sorted(unknown)}")
+        sections = {}
         for section, cls in (("model", ModelConfig), ("train", TrainConfig)):
-            unknown = set(doc.get(section, {})) - {f.name for f in fields(cls)}
+            values = _drop_retired(section, doc.get(section, {}))
+            unknown = set(values) - {f.name for f in fields(cls)}
             if unknown:
                 raise ConfigValidationError(
                     f"unknown keys in config section '{section}': {sorted(unknown)}")
-        cfg = RunConfig(
-            model=ModelConfig(**doc.get("model", {})),
-            train=TrainConfig(**doc.get("train", {})),
-            backbone_seed=doc.get("backbone_seed", 1234),
-        )
+            sections[section] = cls(**values)
+        cfg = RunConfig(**sections, backbone_seed=doc.get("backbone_seed", 1234))
         cfg.validate()
         return cfg
 

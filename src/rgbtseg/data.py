@@ -94,7 +94,6 @@ def _paint_shapes(rng, labels, size, class_id, count):
     else:
         lo_h, hi_h = max(6, h // 8), max(8, h // 3)
         lo_w, hi_w = max(6, w // 8), max(8, w // 3)
-    boxes = []
     for _ in range(count):
         sh = rng.integers(lo_h, hi_h + 1)
         sw = rng.integers(lo_w, hi_w + 1)
@@ -107,8 +106,6 @@ def _paint_shapes(rng, labels, size, class_id, count):
             cy, cx = top + sh / 2, left + sw / 2
             r = min(sh, sw) / 2
             labels[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = class_id
-        boxes.append((top, left, sh, sw))
-    return boxes
 
 
 def gen_sample(size: tuple[int, int], seed: int, index: int) -> RgbtSample:

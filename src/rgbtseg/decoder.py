@@ -59,14 +59,13 @@ class TwoWayLayer:
     cross-attention."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
-                 rng: np.random.Generator, lora_rank: int | None,
-                 lora_alpha: float | None):
+                 rng: np.random.Generator, lora_rank: int | None):
         r1, r2, r3, r4 = rng.spawn(4)
         self.self_attn = MultiHeadAttention(reg, f"{name}.self_attn", d, heads,
-                                            r1, lora_rank, lora_alpha)
+                                            r1, lora_rank)
         self.norm1 = LayerNorm(reg, f"{name}.norm1", d)
         self.cross_t2i = MultiHeadAttention(reg, f"{name}.cross_t2i", d, heads,
-                                            r2, lora_rank, lora_alpha)
+                                            r2, lora_rank)
         self.norm2 = LayerNorm(reg, f"{name}.norm2", d)
         self.mlp = Mlp(reg, f"{name}.mlp", d, r3, mult=2)
         self.norm3 = LayerNorm(reg, f"{name}.norm3", d)
@@ -102,8 +101,7 @@ class MaskDecoder:
         lora_rank = cfg.lora_rank if cfg.enable_decoder_lora else None
         self.layers = [
             TwoWayLayer(reg, f"decoder.twoway.{i}", d, cfg.heads,
-                        derive_rng(seed, f"decoder.twoway.{i}"),
-                        lora_rank, cfg.lora_alpha)
+                        derive_rng(seed, f"decoder.twoway.{i}"), lora_rank)
             for i in range(cfg.decoder_layers)
         ]
 

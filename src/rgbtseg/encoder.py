@@ -74,8 +74,7 @@ class RgbtEncoder:
                                         init_gain=4.0)
         self.blocks = [
             TransformerBlock(reg, f"encoder.blocks.{i}", d, cfg.heads,
-                             derive_rng(seed, f"encoder.blocks.{i}"),
-                             cfg.lora_rank, cfg.lora_alpha)
+                             derive_rng(seed, f"encoder.blocks.{i}"), cfg.lora_rank)
             for i in range(cfg.depth)
         ]
         if cfg.enable_dffm:

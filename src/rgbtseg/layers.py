@@ -79,15 +79,14 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product attention with optional low-rank adapters on Q/V.
 
-    ``lora_rank``/``lora_alpha`` wrap the Q and V projections in LoraLinear;
+    ``lora_rank`` wraps the Q and V projections in LoraLinear;
     K and the output projection stay plain. Queries are [..., nq, d] and
     keys/values [..., nk, d]; the leading axes broadcast, so one unbatched
     query stack can attend over a batch.
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
-                 rng: np.random.Generator, lora_rank: int | None = None,
-                 lora_alpha: float | None = None):
+                 rng: np.random.Generator, lora_rank: int | None = None):
         if d % heads != 0:
             raise ConfigError(f"model dim {d} not divisible by heads {heads}")
         self.heads = heads
@@ -99,7 +98,7 @@ class MultiHeadAttention:
 
         def proj(pname, sub):
             if lora_rank is not None:
-                return LoraLinear(reg, f"{name}.{pname}", d, lora_rank, lora_alpha, sub)
+                return LoraLinear(reg, f"{name}.{pname}", d, lora_rank, sub)
             return Linear(reg, f"{name}.{pname}", d, d, sub)
 
         self.q_proj = proj("q", rq)
@@ -173,12 +172,10 @@ class TransformerBlock:
     """Pre-norm residual block: x + MHA(LN(x)), then + MLP(LN(.))."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
-                 rng: np.random.Generator, lora_rank: int | None = None,
-                 lora_alpha: float | None = None):
+                 rng: np.random.Generator, lora_rank: int | None = None):
         ra, rm = rng.spawn(2)
         self.ln1 = LayerNorm(reg, f"{name}.ln1", d)
-        self.attn = MultiHeadAttention(reg, f"{name}.attn", d, heads, ra,
-                                       lora_rank, lora_alpha)
+        self.attn = MultiHeadAttention(reg, f"{name}.attn", d, heads, ra, lora_rank)
         self.ln2 = LayerNorm(reg, f"{name}.ln2", d)
         self.mlp = Mlp(reg, f"{name}.mlp", d, rm)
 

@@ -1,4 +1,7 @@
-"""Low-rank adaptation of frozen linear projections: W = W0 + (alpha/r) * B A.
+"""Low-rank adaptation of frozen linear projections: W = W0 + B A.
+
+The update runs at alpha = r, so its scale alpha/r is 1: under Adam a larger
+alpha acts much like a larger learning rate, and ``train.lr`` sets that.
 
 A is initialized N(0, 1/r), B starts at zero, so an adapted layer computes
 exactly the base layer's function until the first optimizer step. In the
@@ -28,12 +31,10 @@ class LoraLinear:
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, rank: int,
-                 alpha: float | None, rng: np.random.Generator):
+                 rng: np.random.Generator):
         if rank < 1 or rank >= d:
             raise LoraConfigError(f"rank must satisfy 1 <= r < d, got r={rank}, d={d}")
-        self.d, self.rank = d, rank
-        self.alpha = float(alpha) if alpha is not None else float(rank)
-        self.scale = self.alpha / rank
+        self.d = d
         std = 1.0 / np.sqrt(d)
         self.W0 = reg.register(f"{name}.W0", Tensor(rng.normal(0.0, std, (d, d))))
         self.b0 = reg.register(f"{name}.b0", Tensor(np.zeros(d)))
@@ -44,4 +45,4 @@ class LoraLinear:
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d:
             raise ShapeError(f"lora layer expects last dim {self.d}, got {x.shape}")
-        return T.lora_linear(x, self.W0, self.b0, self.A, self.B, self.scale)
+        return T.lora_linear(x, self.W0, self.b0, self.A, self.B)

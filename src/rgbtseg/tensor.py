@@ -507,17 +507,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                            "linear")
 
 
-def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor, b: Tensor,
-                scale: float) -> Tensor:
-    """``x @ w0 + scale * (x @ aᵀ) @ bᵀ + b0`` on the last axis: a projection
-    with a rank-r update, ``a`` [r, d_in] and ``b`` [d_out, r]."""
+def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor,
+                b: Tensor) -> Tensor:
+    """``x @ w0 + (x @ aᵀ) @ bᵀ + b0`` on the last axis: a projection with a
+    rank-r update, ``a`` [r, d_in] and ``b`` [d_out, r]."""
     d_in, d_out = w0.shape
     x2 = x.data.reshape(-1, d_in)
     xa = np.matmul(x2, a.data.T)
     data = np.matmul(x2, w0.data)
-    up = np.matmul(xa, b.data.T)
-    up *= scale
-    data += up
+    data += np.matmul(xa, b.data.T)
     if b0 is not None:
         data += b0.data
     xn, w0n, an, bn = _grad_node(x), _grad_node(w0), _grad_node(a), _grad_node(b)
@@ -531,9 +529,8 @@ def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor, b: Tensor,
 
     def backward(g, acc):
         g = g.reshape(-1, d_out)
-        gu = g * scale
         if xn is not None or an is not None:
-            gxa = np.matmul(gu, b_data)
+            gxa = np.matmul(g, b_data)
         if xn is not None:
             acc(xn, (np.matmul(g, w0_data.T) + np.matmul(gxa, a_data)).reshape(x_shape))
         if w0n is not None:
@@ -543,7 +540,7 @@ def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor, b: Tensor,
         if an is not None:
             acc(an, np.matmul(x2.T, gxa).T)
         if bn is not None:
-            acc(bn, np.matmul(xa.T, gu).T)
+            acc(bn, np.matmul(xa.T, g).T)
 
     return Tensor._from_op(data.reshape(*x_shape[:-1], d_out), (xn, w0n, b0n, an, bn),
                            backward, "lora_linear")

@@ -123,9 +123,6 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
             order.extend(rng.permutation(len(samples)).tolist())
         idx, order = order[:cfg.batch], order[cfg.batch:]
 
-        if cfg.cosine_lr:
-            opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, cfg.steps)))
-
         by_shape: dict[tuple, list[RgbtSample]] = {}
         for i in idx:
             s = samples[i]

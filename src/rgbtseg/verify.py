@@ -129,7 +129,7 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
                     x, lora_b, reg.get("blk.attn.q.lora.A"))
 
         reg, lrng = fresh()
-        lora = LoraLinear(reg, "lora", d, 2, None, lrng)
+        lora = LoraLinear(reg, "lora", d, 2, lrng)
         lora.B.data[...] = srng.normal(0.0, 0.1, lora.B.shape)
         x = _rand(srng, 3, d)
         yield check(f"lora_apply[{si}]", _scalarizer(srng, lora, x),

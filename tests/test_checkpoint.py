@@ -111,6 +111,15 @@ def test_empty_state_round_trips():
     assert deserialize(serialize({})) == {}
 
 
+def test_a_0d_entry_round_trips_with_its_rank():
+    state = {"x": (np.array(2.0), False), "y": (np.array(-1.5), True)}
+    loaded = deserialize(serialize(state))
+    assert loaded["x"][0].shape == ()
+    assert loaded["x"][0].tobytes() == state["x"][0].tobytes()
+    assert loaded["y"][0] == FrozenDigest.of(state["y"][0])
+    assert loaded["y"][0].shape == ()
+
+
 def test_frozen_flag_other_than_0_or_1_rejected():
     body = serialize({"x": (np.zeros(3), False)})[:-4]
     body = body[:-25] + b"\x02" + body[-24:]

@@ -275,7 +275,8 @@ def test_bad_config_exits_2(tmp_path, dataset):
      "unknown keys in config section 'model': ['a', 'x']"),
     ({"train": {"step": 3}}, "unknown keys in config section 'train': ['step']"),
     ({"train": {"lr": float("nan")}}, "train.lr must be finite, got nan"),
-    ({"model": {"lora_alpha": float("inf")}}, "model.lora_alpha must be finite, got inf"),
+    ({"model": {"lora_alpha": float("inf")}},
+     "model.lora_alpha is retired; it loads only as null or equal to lora_rank, got inf"),
     ({"train": {"lambda_dice": float("inf")}}, "train.lambda_dice must be finite, got inf"),
     ({"train": {"weight_decay": float("-inf")}},
      "train.weight_decay must be finite, got -inf"),
@@ -283,7 +284,10 @@ def test_bad_config_exits_2(tmp_path, dataset):
      "invalid training hyperparameter: train.lr must be positive, got 0"),
     ({"train": {"lambda_dice": -0.5}},
      "invalid training hyperparameter: train.lambda_dice must be non-negative, got -0.5"),
-    ({"model": {"lora_alpha": -1.0}}, "model.lora_alpha must be positive, got -1.0"),
+    ({"model": {"lora_alpha": -1.0}},
+     "model.lora_alpha is retired; it loads only as null or equal to lora_rank, got -1.0"),
+    ({"train": {"cosine_lr": True}},
+     "train.cosine_lr is retired; it loads only as false, got True"),
     ({"model": {"heads": 5}}, "d 64 not divisible by heads 5"),
     ({"model": {"se_reduction": 5}}, "d 64 not divisible by se_reduction 5"),
     ({"model": {"lora_rank": 64}}, "lora_rank must satisfy 1 <= r < d, got 64"),
@@ -294,9 +298,9 @@ def test_bad_config_exits_2(tmp_path, dataset):
         "top_null", "top_string", "top_list", "model_not_object", "train_not_object",
         "model_unknown_key", "train_unknown_key", "lr_nan", "lora_alpha_inf",
         "lambda_dice_inf", "weight_decay_minus_inf", "lr_zero", "lambda_dice_negative",
-        "lora_alpha_negative", "heads_not_dividing_d", "se_reduction_not_dividing_d",
-        "lora_rank_not_below_d", "d_not_divisible_by_4", "top_unknown_key",
-        "steps_negative"])
+        "lora_alpha_negative", "cosine_lr_true", "heads_not_dividing_d",
+        "se_reduction_not_dividing_d", "lora_rank_not_below_d", "d_not_divisible_by_4",
+        "top_unknown_key", "steps_negative"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -386,6 +390,33 @@ def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,
                      "--steps", "4"]) == 3
     err = capsys.readouterr().err
     assert err == "numeric abort: non-finite value produced by op 'linear'\n"
+
+
+def test_a_run_directory_with_the_retired_keys_still_evaluates(short_run, dataset,
+                                                               tmp_path):
+    """Before ``lora_alpha`` and ``cosine_lr`` were retired, ``to_json`` wrote
+    them into every config.json, at null and false; such a run directory
+    loads the same config and evaluates to the same bytes."""
+    doc = json.loads((short_run / "config.json").read_text())
+    old_doc = json.loads((short_run / "config.json").read_text())
+    old_doc["model"]["lora_alpha"] = None
+    old_doc["train"]["cosine_lr"] = False
+    old = tmp_path / "old_run"
+    shutil.copytree(short_run, old)
+    (old / "config.json").write_text(json.dumps(old_doc, indent=2))
+    assert RunConfig.from_json_file(old / "config.json") == RunConfig.from_dict(doc)
+    outs = []
+    for run in (short_run, old):
+        outs.append(tmp_path / f"eval_{run.name}.json")
+        assert cli.main(["eval", "--ckpt", str(run / "checkpoint.tseg"),
+                         "--data", str(dataset), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("model", [{"lora_alpha": 4.0}, {"lora_rank": 2, "lora_alpha": 2}])
+def test_a_retired_lora_alpha_equal_to_the_rank_loads(model):
+    rank = model.get("lora_rank", 4)
+    assert RunConfig.from_dict({"model": model}).model.lora_rank == rank
 
 
 def test_print_config_round_trips(capsys):

@@ -17,10 +17,10 @@ def _linear_ref(x, w, b):
     return y.reshape(*x.shape[:-1], w.shape[1])
 
 
-def _lora_ref(x, w0, b0, a, b, scale):
+def _lora_ref(x, w0, b0, a, b):
     flat = x.reshape(-1, w0.shape[0])
     update = T.matmul(T.matmul(flat, a.transpose(1, 0)), b.transpose(1, 0))
-    return (T.matmul(flat, w0) + update * scale + b0).reshape(*x.shape[:-1], w0.shape[1])
+    return (T.matmul(flat, w0) + update + b0).reshape(*x.shape[:-1], w0.shape[1])
 
 
 def _layer_norm_ref(x, gamma, beta, eps):
@@ -179,10 +179,9 @@ def test_lora_linear_matches_three_matmuls_and_the_merged_weight():
     rng = np.random.default_rng(2)
     x, w0, b0, a, b = (Tensor(rng.normal(size=s))
                        for s in [(2, 5, 8), (8, 8), (8,), (3, 8), (8, 3)])
-    _assert_matches(lambda *t: T.lora_linear(*t, 0.75),
-                    lambda *t: _lora_ref(*t, 0.75), [x, w0, b0, a, b])
-    merged = w0.data + 0.75 * (b.data @ a.data).T
-    out = T.lora_linear(x, w0, b0, a, b, 0.75).data
+    _assert_matches(T.lora_linear, _lora_ref, [x, w0, b0, a, b])
+    merged = w0.data + (b.data @ a.data).T
+    out = T.lora_linear(x, w0, b0, a, b).data
     assert np.allclose(out, x.data @ merged + b0.data, atol=1e-12)
 
 

@@ -9,9 +9,9 @@ from rgbtseg.params import ParamRegistry
 from rgbtseg.tensor import Tensor
 
 
-def _make(rank=4, alpha=None, d=16, seed=0):
+def _make(rank=4, d=16, seed=0):
     reg = ParamRegistry()
-    return LoraLinear(reg, "proj", d, rank, alpha, np.random.default_rng(seed)), reg
+    return LoraLinear(reg, "proj", d, rank, np.random.default_rng(seed)), reg
 
 
 def test_b_starts_at_zero():
@@ -27,15 +27,14 @@ def test_identity_at_init(rng):
     assert np.allclose(layer(x).data, base_only, atol=1e-15)
 
 
-def test_alpha_over_rank_scaling(rng):
-    a1, _ = _make(rank=4, alpha=4.0, seed=3)
-    a2, _ = _make(rank=4, alpha=8.0, seed=3)
-    a1.B.data = np.ones(a1.B.shape)
-    a2.B.data = np.ones(a2.B.shape)
+def test_the_update_is_b_a_at_scale_one(rng):
+    """Adapters run at alpha = r: the update is (x Aᵀ) Bᵀ, unscaled."""
+    layer, _ = _make(rank=4, seed=3)
+    layer.B.data = rng.normal(size=layer.B.shape)
     x = Tensor(rng.normal(size=(3, 16)))
-    update1 = a1(x).data - (x.data @ a1.W0.data + a1.b0.data)
-    update2 = a2(x).data - (x.data @ a2.W0.data + a2.b0.data)
-    assert np.allclose(update2, 2.0 * update1)
+    update = layer(x).data - (x.data @ layer.W0.data + layer.b0.data)
+    expected = (x.data @ layer.A.data.T) @ layer.B.data.T
+    assert np.abs(update - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_rank_validation():

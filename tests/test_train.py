@@ -173,8 +173,8 @@ def test_nonfinite_gradient_names_the_parameter_and_moves_nothing(monkeypatch, f
 
     original = T.lora_linear
 
-    def lora_linear(x, w0, b0, a, b, scale):
-        out = original(x, w0, b0, a, b, scale)
+    def lora_linear(x, w0, b0, a, b):
+        out = original(x, w0, b0, a, b)
         if b is target and snapshot:
             node = out._node
             backward = node._backward
