@@ -189,6 +189,9 @@ def _parse_points(spec: str | None) -> PointPrompt:
 def cmd_infer(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
     vocab = _resolve_vocab(args.classes, args.ckpt, None, cfg)
+    if vocab.num_classes > 256:
+        raise UsageError(f"{vocab.num_classes} classes do not fit the 8-bit mask "
+                         "infer writes (at most 256)")
     rgb = to_float(read_ppm(args.rgb))
     th = to_float(read_pgm(args.thermal))[:, :, None]
     pred = model.predict(rgb, th, vocab, _parse_points(args.points))

@@ -7,11 +7,10 @@ itself is unchanged.
 
 Only the first evaluation of ``f`` builds a tape and checks every op for NaN
 and Inf, because ``backward()`` runs on it. Every other evaluation (the
-determinism re-evaluation and the two per coordinate) runs under
-``tensor.no_grad()`` and checks its scalar once; on a non-finite value it
-replays ``f`` with the tape and the per-op check on, so the ``NumericError``
-names the op. The determinism check compares a tape-free value with the taped
-one bitwise, so it also pins that the two kinds of forward agree.
+determinism re-evaluation and the two per coordinate) runs through
+``tensor.checked`` without a tape. The determinism check compares such a
+tape-free value with the taped one bitwise, so it also pins that the two
+kinds of forward agree.
 
 A caller that knows which part of ``f`` an input cannot influence passes one
 evaluator per input: a function with ``f``'s value that skips that part, for
@@ -29,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .tensor import GradCheckError, NumericError, Tensor, no_grad
+from .tensor import GradCheckError, Tensor, checked
 
 
 @dataclass
@@ -51,19 +51,6 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _value(f, inputs) -> float:
-    """``f(*inputs)`` without a tape, as a finite float."""
-    with no_grad():
-        value = f(*inputs).item()
-    if not math.isfinite(value):
-        # the per-op check of the taped replay raises first and names the op
-        if not math.isfinite(f(*inputs).item()):
-            raise NumericError("non-finite value returned by f")
-        raise GradCheckError("f is not deterministic: a tape-free evaluation "
-                             "is non-finite, its taped replay finite")
-    return value
-
-
 def gradcheck(
     f,
     inputs,
@@ -78,7 +65,7 @@ def gradcheck(
     ``inputs`` is a Tensor or a list of Tensors; each gets ``requires_grad``
     forced on for the duration of the check. ``f`` must be deterministic;
     a double-evaluation mismatch raises GradCheckError. A non-finite value of
-    ``f`` at any evaluated point raises ``NumericError`` naming the op.
+    ``f`` at any evaluated point raises as ``tensor.checked`` says.
 
     ``evaluators``, if given, holds one function per input with ``f``'s
     signature; the finite differences of input i evaluate ``evaluators[i]``
@@ -105,7 +92,7 @@ def gradcheck(
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise GradCheckError("f must return a scalar Tensor")
         for ev in dict.fromkeys(evaluators):  # each distinct evaluator once
-            if _value(ev, inputs) != loss.item():
+            if checked(partial(ev, *inputs)).item() != loss.item():
                 raise GradCheckError(
                     "f is not deterministic: repeated evaluation differs" if ev is f
                     else "an evaluator differs from f at the starting point")
@@ -127,13 +114,14 @@ def gradcheck(
             else:
                 coords = range(n)
             input_err = 0.0
+            value = partial(ev, *inputs)
             for j in coords:
                 orig = flat[j]
                 try:
                     flat[j] = orig + eps
-                    fp = _value(ev, inputs)
+                    fp = checked(value).item()
                     flat[j] = orig - eps
-                    fm = _value(ev, inputs)
+                    fm = checked(value).item()
                 finally:
                     flat[j] = orig
                 numeric = (fp - fm) / (2.0 * eps)

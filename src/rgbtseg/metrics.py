@@ -26,14 +26,15 @@ def confusion_counts(pred: np.ndarray, gt: np.ndarray, num_classes: int,
     if pred.shape != gt.shape:
         raise ShapeError(f"pred {pred.shape} vs gt {gt.shape}")
     valid, g = valid_labels(gt, num_classes, ignore_label)
+    c = num_classes
     p = pred[valid]
-    counts = np.zeros((num_classes, 3), dtype=np.int64)
-    for c in range(num_classes):
-        pc, gc = p == c, g == c
-        counts[c, 0] = np.count_nonzero(pc & gc)
-        counts[c, 1] = np.count_nonzero(pc & ~gc)
-        counts[c, 2] = np.count_nonzero(~pc & gc)
-    return counts
+    # row: ground truth; column: prediction, where C collects those outside
+    # [0, C), which count only as a miss of their ground-truth class
+    p = np.where((p >= 0) & (p < c), p, c)
+    joint = np.bincount(g.astype(np.int64) * (c + 1) + p,
+                        minlength=c * (c + 1)).reshape(c, c + 1)
+    tp = joint.diagonal()
+    return np.stack([tp, joint[:, :c].sum(axis=0) - tp, joint.sum(axis=1) - tp], axis=1)
 
 
 def iou_from_counts(counts: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .decoder import DecoderOutputs, MaskDecoder
 from .encoder import RgbtEncoder
 from .params import ParamRegistry, ledger_group
 from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
-from .tensor import NumericError, ShapeError, Tensor, no_grad
+from .tensor import ShapeError, Tensor, checked
 
 
 class RgbtSegModel:
@@ -48,19 +48,9 @@ class RgbtSegModel:
 
     def predict(self, rgb, th, vocab: ClassVocabulary,
                 points: PointPrompt | None = None) -> np.ndarray:
-        """Hard label map [..., H, W] (argmax over class logits).
-
-        The forward runs without a tape and its logits are checked once. On a
-        non-finite value the same forward is replayed with the tape on, whose
-        per-op check raises ``NumericError`` naming the op that produced it.
-        """
-        with no_grad():
-            logits = self.forward(rgb, th, vocab, points).logits.data
-        if not np.isfinite(logits).all():
-            self.forward(rgb, th, vocab, points)
-            # the replay is the same arithmetic and raises first; never
-            # return labels taken from non-finite logits
-            raise NumericError("non-finite value produced by the forward pass")
+        """Hard label map [..., H, W] (argmax over class logits), from one
+        tape-free forward run through ``tensor.checked``."""
+        logits = checked(lambda: self.forward(rgb, th, vocab, points).logits).data
         return np.argmax(logits, axis=-1).astype(np.int64)
 
     def state_dict(self):

@@ -7,6 +7,8 @@ Malformed input raises PnmFormatError naming the byte offset.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -20,26 +22,27 @@ def _quantize(data: np.ndarray) -> np.ndarray:
     return np.clip(np.round(data * 255.0), 0, 255).astype(np.uint8)
 
 
+def _write(path, magic: str, data: np.ndarray) -> None:
+    h, w = data.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
+        fh.write(data.tobytes())
+
+
 def write_pgm(path, data: np.ndarray) -> None:
     data = _quantize(np.asarray(data))
     if data.ndim == 3 and data.shape[2] == 1:
         data = data[:, :, 0]
     if data.ndim != 2:
         raise PnmFormatError(f"graymap needs a 2-d array, got shape {data.shape}")
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+    _write(path, "P5", data)
 
 
 def write_ppm(path, data: np.ndarray) -> None:
     data = _quantize(np.asarray(data))
     if data.ndim != 3 or data.shape[2] != 3:
         raise PnmFormatError(f"pixmap needs an [H, W, 3] array, got {data.shape}")
-    h, w, _ = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+    _write(path, "P6", data)
 
 
 def _parse_header(blob: bytes, expected_magic: bytes):
@@ -72,29 +75,26 @@ def _parse_header(blob: bytes, expected_magic: bytes):
     return w, h, pos
 
 
-def read_pgm(path) -> np.ndarray:
+def _read(path, magic: bytes, channels: tuple) -> np.ndarray:
+    """The [H, W, *channels] pixels of the file at ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    w, h, pos = _parse_header(blob, b"P5")
-    payload = blob[pos:pos + w * h]
-    if len(payload) != w * h:
-        raise PnmFormatError(
-            f"truncated payload at byte {pos + len(payload)}: "
-            f"expected {w * h} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, pos = _parse_header(blob, b"P6")
-    n = w * h * 3
+    w, h, pos = _parse_header(blob, magic)
+    n = w * h * math.prod(channels)
     payload = blob[pos:pos + n]
     if len(payload) != n:
         raise PnmFormatError(
             f"truncated payload at byte {pos + len(payload)}: "
             f"expected {n} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, *channels).copy()
+
+
+def read_pgm(path) -> np.ndarray:
+    return _read(path, b"P5", ())
+
+
+def read_ppm(path) -> np.ndarray:
+    return _read(path, b"P6", (3,))
 
 
 def to_float(img: np.ndarray) -> np.ndarray:

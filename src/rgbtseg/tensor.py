@@ -35,15 +35,12 @@ Every op needs only numpy; ``gelu`` is the tanh form of GELU, not the exact
 erf form.
 
 By default every op checks its result and raises ``NumericError`` naming the
-op on a NaN or Inf. Two switches skip that per-op check; the caller checks the
-final result once and, on a non-finite value, replays the same ops with the
-check on to name the op:
-
-- inside ``no_grad()`` ops also record no nodes (``RgbtSegModel.predict``,
-  and ``gradcheck`` for every evaluation of its function except the one it
-  backpropagates);
-- inside ``unchecked()`` the tape is kept, so ``backward()`` still works
-  (``train.train``, which also checks every trainable gradient).
+op on a NaN or Inf. ``checked(fn)`` runs a forward without that per-op
+check: it tests ``fn()``'s result once and, on a non-finite value, replays
+``fn()`` with the check on to name the op. ``RgbtSegModel.predict``,
+``gradcheck`` and ``train.train`` run every forward they keep through it.
+Inside ``no_grad()`` ops record no nodes and skip the check too, so a value
+computed there is checked only where it feeds a ``checked`` result.
 
 Backward closures are never checked per op.
 """
@@ -64,7 +61,8 @@ class NumericError(FloatingPointError):
 
 
 class GradCheckError(RuntimeError):
-    """Raised on gradcheck precondition violations (bad eps, nondeterminism)."""
+    """Raised on gradcheck precondition violations (bad eps, nondeterminism),
+    and by ``checked`` when a replay disagrees with the run it replays."""
 
 
 _grad_enabled = True
@@ -90,9 +88,23 @@ def no_grad():
     return _mode(grad=False, check=False)
 
 
-def unchecked():
-    """Keep the tape but skip the per-op finite check inside the block."""
-    return _mode(grad=True, check=False)
+def checked(fn, *, tape: bool = False) -> Tensor:
+    """``fn()``, run without the per-op finite check and, unless ``tape`` is
+    set, without a tape; its result is tested once. On a NaN or Inf ``fn()``
+    runs again in the caller's mode, where the per-op check raises the
+    ``NumericError`` that names the op producing the value. If the replay is
+    finite, ``fn`` is not deterministic and ``GradCheckError`` is raised; if
+    no op of the replay raises (a non-finite leaf, or a caller inside
+    ``no_grad()``), ``NumericError`` is."""
+    with _mode(grad=tape, check=False):
+        out = fn()
+    if np.isfinite(out.data).all():
+        return out
+    if np.isfinite(fn().data).all():
+        run = "an unchecked" if tape else "a tape-free"
+        raise GradCheckError(f"f is not deterministic: {run} evaluation is "
+                             "non-finite, its taped replay finite")
+    raise NumericError("non-finite value produced by no checked op")
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:

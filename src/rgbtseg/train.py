@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .model import RgbtSegModel
 from .optim import AdamW
 from .params import ParamRegistry
 from .prompts import ClassVocabulary
-from .tensor import NumericError, Tensor, unchecked
+from .tensor import NumericError, Tensor, checked
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -96,14 +97,12 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
     """Seeded training run; returns one record per step (loss, batch mIoU).
 
     Batches are drawn by epoch-wise seeded shuffles. Each step runs its
-    forward and backward without the per-op finite check, then checks the loss
-    and every trainable gradient once, before the optimizer moves anything. On
-    a non-finite value it clears the gradients and replays the step's forward
-    with the per-op check on, which is exact because no parameter has moved:
-    the replay raises ``NumericError`` naming the op that produced the value,
-    and when the forward is finite and only a gradient is not (or its square
-    overflows), the error names that parameter. Either way the parameters and
-    the optimizer state are left as the previous step left them.
+    forward and loss through ``tensor.checked``, keeping the tape, then
+    backpropagates and checks every trainable gradient once, before the
+    optimizer moves anything: a gradient that is not finite, or whose square
+    overflows, raises ``NumericError`` naming its parameter. On any abort the
+    parameters and the optimizer state are left as the previous step left
+    them.
 
     Raises ``ValueError`` for an empty ``samples`` or an ignore label that is
     one of the vocabulary's class indices.
@@ -131,15 +130,11 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
 
         acc = IouAccumulator(num_classes, cfg.ignore_label)
         opt.zero_grad()
-        with unchecked():
-            loss = _batch_loss(model, vocab, groups, cfg, acc)
-            loss.backward()
+        loss = checked(partial(_batch_loss, model, vocab, groups, cfg, acc), tape=True)
+        loss.backward()
         bad = _gradient_error(model.registry)
-        if bad is not None or not np.isfinite(loss.data):
+        if bad is not None:
             opt.zero_grad()
-            # the replay's per-op check raises at a non-finite forward value
-            _batch_loss(model, vocab, groups, cfg,
-                        IouAccumulator(num_classes, cfg.ignore_label))
             raise NumericError(bad)
         opt.step()
         opt.zero_grad()

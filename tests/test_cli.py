@@ -680,6 +680,25 @@ def _vocab_file(tmp_path, num_classes, dim):
     return str(path)
 
 
+@pytest.mark.parametrize("num_classes", [256, 257])
+def test_infer_writes_at_most_256_classes_to_its_8_bit_mask(short_run, dataset, tmp_path,
+                                                             capsys, num_classes):
+    out = tmp_path / "m.pgm"
+    capsys.readouterr()
+    code = cli.main(["infer", "--ckpt", str(short_run / "checkpoint.tseg"),
+                     "--rgb", str(dataset / "sample_0000_rgb.ppm"),
+                     "--thermal", str(dataset / "sample_0000_th.pgm"),
+                     "--classes", _vocab_file(tmp_path, num_classes, RunConfig().model.d_t),
+                     "--out", str(out)])
+    if num_classes == 256:
+        assert code == 0 and read_pgm(out).shape == (64, 64)
+        return
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: 257 classes do not fit the 8-bit mask "
+                                   "infer writes (at most 256)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "infer"])
 def test_class_embedding_dim_mismatch_exits_2_before_any_output(short_run, dataset,
                                                                 tmp_path, capsys, command):

@@ -260,27 +260,68 @@ def test_the_loss_keeps_one_float_class_stack_and_forms_one_more(traced_memory):
     assert mem.peak <= 3 * stack_bytes, mem.peak / stack_bytes
 
 
-def test_unchecked_keeps_the_tape_and_skips_the_per_op_check():
+def test_checked_keeps_the_tape_and_skips_the_per_op_check():
     x = Tensor(np.array([1.0, 0.0]), requires_grad=True)
+    skipped = []
+
+    def f():
+        skipped.append(x * np.inf)
+        return (x * 3.0).sum()
+
     with np.errstate(invalid="ignore"):
-        with T.unchecked():
-            out = x * np.inf
-            y = (x * 3.0).sum()
-        assert not np.isfinite(out.data).any()
+        y = T.checked(f, tape=True)
+        assert not np.isfinite(skipped[0].data).any()
         y.backward()
         assert np.array_equal(x.grad, [3.0, 3.0])
         with pytest.raises(NumericError, match="op 'mul'"):
             x * np.inf
 
 
-def test_unchecked_restores_after_exception_and_nests_inside_no_grad():
+def test_checked_restores_after_exception_and_nests_inside_no_grad():
     x = Tensor(np.array([1.0]), requires_grad=True)
+
+    def boom():
+        raise RuntimeError("boom")
+
     with pytest.raises(RuntimeError):
-        with T.unchecked():
-            raise RuntimeError("boom")
+        T.checked(boom, tape=True)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         log(neg(x))
     with T.no_grad():
-        with T.unchecked():
-            assert not (x * 2.0).requires_grad
+        assert not T.checked(lambda: x * 2.0, tape=True).requires_grad
     assert (x * 2.0).requires_grad
+
+
+def test_checked_returns_a_finite_result_as_is_from_one_run():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    runs = []
+
+    def f():
+        runs.append((T._grad_enabled, T._check_enabled, x * 2.0))
+        return runs[-1][2]
+
+    assert T.checked(f) is runs[0][2] and runs[0][:2] == (False, False)
+    assert T.checked(f, tape=True) is runs[1][2] and runs[1][:2] == (True, False)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    (np.nan, NumericError, "non-finite value produced by op 'mul'"),
+    (2.0, T.GradCheckError, "f is not deterministic: a tape-free evaluation is "
+                            "non-finite, its taped replay finite"),
+    (None, NumericError, "non-finite value produced by no checked op"),
+], ids=["an_op_produces_it", "the_replay_is_finite", "no_op_produces_it"])
+def test_checked_replays_a_nonfinite_result_once(scale, error, message):
+    x = Tensor(np.array([1.0, 2.0]))
+    runs = []
+
+    def f():  # non-finite without the check; in the replay as ``scale`` says
+        runs.append(T._check_enabled)
+        if scale is None:
+            return Tensor(np.array([np.nan]))
+        return x * (np.nan if not T._check_enabled else scale)
+
+    with np.errstate(invalid="ignore"), pytest.raises(error) as raised:
+        T.checked(f)
+    assert str(raised.value) == message
+    assert runs == [False, True]

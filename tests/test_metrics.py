@@ -77,3 +77,31 @@ def test_confusion_counts_rejects_out_of_range_labels(bad):
         confusion_counts(pred, np.array([[0, bad, 2]]), 3)
     counts = confusion_counts(pred, np.array([[0, 255, 2]]), 3)
     assert counts[:, 0].tolist() == [1, 0, 1]
+
+
+def _counts_by_class_loop(pred, gt, num_classes, ignore_label=255):
+    """The per-class [TP, FP, FN] counts, one class at a time."""
+    valid = gt != ignore_label
+    p, g = pred[valid], gt[valid]
+    return np.array([[np.count_nonzero((p == c) & (g == c)),
+                      np.count_nonzero((p == c) & (g != c)),
+                      np.count_nonzero((p != c) & (g == c))]
+                     for c in range(num_classes)])
+
+
+@pytest.mark.parametrize("gt_dtype", [np.int64, np.uint8])
+def test_confusion_counts_equal_the_per_class_loop(gt_dtype):
+    rng = np.random.default_rng(3)
+    pred = rng.integers(-2, 7, (4, 9, 9))  # 5 classes, and predictions outside them
+    gt = rng.integers(0, 5, (4, 9, 9)).astype(gt_dtype)
+    gt[rng.random(gt.shape) < 0.2] = 255
+    counts = confusion_counts(pred, gt, 5)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _counts_by_class_loop(pred, gt, 5))
+
+
+def test_a_prediction_outside_the_classes_is_only_a_miss():
+    pred = np.array([[0, 3, -1, 1]])
+    gt = np.array([[0, 1, 1, 1]])
+    # class 1: one hit, two misses; no class gains a false positive
+    assert confusion_counts(pred, gt, 3).tolist() == [[1, 0, 0], [1, 0, 2], [0, 0, 0]]

@@ -1,9 +1,11 @@
 """Autodiff core: forward oracles, backward correctness on small graphs,
 broadcasting, and error behavior; and the test-only ops of ``ref_ops``."""
 
+import ast
 import math
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +289,24 @@ def test_no_grad_deposited_on_constants():
 def test_nan_raises_numeric_error():
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="op 'mul'"):
         Tensor(np.array([np.inf])) * 0.0
+
+
+def test_only_the_tensor_module_refers_to_the_mode_switches():
+    """``tensor.checked`` and ``no_grad`` are the one way to turn the tape or
+    the per-op finite check off: no other module of the package names the
+    switches or ``_mode`` in its code, so none can assign or open them."""
+    switches = {"_grad_enabled", "_check_enabled", "_mode"}
+    found = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in switches:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found
 
 
 def test_reference_ops_match_numpy():
