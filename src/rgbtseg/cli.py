@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .config import RunConfig
+from .config import ModelConfig, RunConfig
 from .data import CLASS_NAMES, gen_synthetic, load_dataset, save_dataset
+from .losses import LabelError, valid_labels
 from .model import RgbtSegModel
 from .params import param_ledger
 from .pnm import read_pgm, read_ppm, to_float, write_pgm, write_ppm
@@ -74,9 +75,9 @@ def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary
 def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n {args.n} must be at least 1")
-    if args.size < 8 or args.size % 8 != 0:
+    if args.size < 1 or args.size % ModelConfig.patch != 0:
         raise UsageError(f"--size {args.size} must be a positive multiple of the "
-                         "patch size 8")
+                         f"patch size {ModelConfig.patch}")
     samples = gen_synthetic(args.n, (args.size, args.size), args.seed,
                             split=args.split)
     manifest = save_dataset(samples, Path(args.out))
@@ -108,6 +109,11 @@ def cmd_train(args) -> int:
     cfg.model.num_classes = vocab.num_classes
     _check_vocab(vocab, cfg)
     cfg.train.check_ignore_label(vocab.num_classes)
+    for s in train_samples:  # a bad label would otherwise end the run mid-way
+        try:
+            valid_labels(s.labels, vocab.num_classes, cfg.train.ignore_label)
+        except LabelError as e:
+            raise UsageError(f"manifest sample {samples.index(s)}: {e}") from None
     model = RgbtSegModel(cfg)
 
     out = Path(args.out)

@@ -7,40 +7,49 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 
 class ConfigValidationError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelConfig:
-    # sizes only the synthetic data of ``verify`` and the benchmark; the model
-    # takes images of any size whose sides are multiples of ``patch``
-    image_size: int = 64
-    patch: int = 8
+    # Constants, not config fields: SAM's mask decoder has a fixed depth and
+    # four mask tokens, and the DFFM and the text head a fixed shape around
+    # it. ``image_size`` sizes only the synthetic data of ``verify`` and the
+    # benchmark; the model takes images of any size whose sides are multiples
+    # of ``patch``. The settable fields size the frozen backbone and the
+    # adapters (whose trainable share is the paper's efficiency claim), match
+    # a class-embedding file's width, and switch the ablations. The slots make
+    # a constant read-only on an instance, so no model differs from the
+    # config.json that ``to_json`` writes for it.
+    image_size: ClassVar[int] = 64
+    patch: ClassVar[int] = 8
+    decoder_layers: ClassVar[int] = 2
+    mask_tokens: ClassVar[int] = 4
+    d_k: ClassVar[int] = 32
+    d_v: ClassVar[int] = 32
+    se_reduction: ClassVar[int] = 4
     d: int = 64
     heads: int = 4
     depth: int = 4
     lora_rank: int = 4
-    decoder_layers: int = 2
-    mask_tokens: int = 4
-    d_k: int = 32
-    d_v: int = 32
     d_t: int = 32
-    se_reduction: int = 4
     num_classes: int = 4
     enable_dffm: bool = True
     enable_decoder_lora: bool = True
     enable_text: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainConfig:
+    # The Dice smoothing is a constant, not a config field: no run tunes it.
+    dice_smooth: ClassVar[float] = 1.0
     lr: float = 5e-4
     weight_decay: float = 0.01
     lambda_dice: float = 1.0
-    dice_smooth: float = 1.0
     ignore_label: int = 255
     steps: int = 200
     batch: int = 4
@@ -81,28 +90,41 @@ def _check_types(prefix: str, cfg) -> None:
                 f"{prefix}{f.name} must be finite, got {value!r}")
 
 
-# The retired key of each section, the values at which it still loads and the
-# test of them. ``to_json`` wrote both keys into every config.json before they
-# were retired, at values that leave the computation as it is now: adapters at
-# alpha = rank (W0 + B A) and a constant learning rate.
+# Keys ``to_json`` wrote into every config.json before they were retired: the
+# two below, at values that leave the computation as it is now (adapters at
+# alpha = rank, W0 + B A, and a constant learning rate), and each ``ClassVar``
+# constant of a section, which loads only at its value.
 _RETIRED = {
-    "model": ("lora_alpha", "null or equal to lora_rank", lambda v, values: v is None or (
-        _KINDS["float"](v) and v == values.get("lora_rank", ModelConfig.lora_rank))),
-    "train": ("cosine_lr", "false", lambda v, values: v is False),
+    "model": {"lora_alpha": ("null or equal to lora_rank", lambda v, values: v is None or (
+        _KINDS["float"](v) and v == values.get("lora_rank", ModelConfig().lora_rank)))},
+    "train": {"cosine_lr": ("false", lambda v, values: v is False)},
 }
 
 
-def _drop_retired(section: str, values: dict) -> dict:
-    """``values`` without the section's retired key; the key at any value that
-    would change the computation is refused."""
-    key, allowed, keeps = _RETIRED[section]
-    values = dict(values)
-    if key in values:
+def _load_section(section: str, cls, values: dict):
+    """The ``cls`` of a config section's ``values``. A retired key is dropped
+    at a value that leaves the computation as it is and refused at any other;
+    any other key that is not a field is unknown."""
+    names = {f.name for f in fields(cls)}
+    values, unknown = dict(values), []
+    for key in [k for k in values if k not in names]:
         value = values.pop(key)
-        if not keeps(value, values):
+        if key in _RETIRED[section]:
+            allowed, keeps = _RETIRED[section][key]
+            ok = keeps(value, values)
+        elif cls.__annotations__.get(key, "").startswith("ClassVar"):
+            allowed = getattr(cls, key)
+            ok = _KINDS[type(allowed).__name__](value) and value == allowed
+        else:
+            unknown.append(key)
+            continue
+        if not ok:
             raise ConfigValidationError(
                 f"{section}.{key} is retired; it loads only as {allowed}, got {value!r}")
-    return values
+    if unknown:
+        raise ConfigValidationError(
+            f"unknown keys in config section '{section}': {sorted(unknown)}")
+    return cls(**values)
 
 
 @dataclass
@@ -115,35 +137,25 @@ class RunConfig:
         _check_types("", self)
         _check_types("model.", self.model)
         _check_types("train.", self.train)
+        for k, v in (("backbone_seed", self.backbone_seed), ("train.seed", self.train.seed)):
+            if v < 0:
+                raise ConfigValidationError(f"{k} must be non-negative, got {v}")
         m = self.model
-        positive = {
-            "image_size": m.image_size, "patch": m.patch, "d": m.d,
-            "heads": m.heads, "depth": m.depth, "lora_rank": m.lora_rank,
-            "decoder_layers": m.decoder_layers, "mask_tokens": m.mask_tokens,
-            "d_k": m.d_k, "d_v": m.d_v, "d_t": m.d_t,
-            "se_reduction": m.se_reduction, "num_classes": m.num_classes,
-        }
-        for k, v in positive.items():
-            if v < 1:
+        for k in ("d", "heads", "depth", "lora_rank", "d_t", "num_classes"):
+            if (v := getattr(m, k)) < 1:
                 raise ConfigValidationError(f"{k} must be positive, got {v}")
-        if m.image_size % m.patch != 0:
-            raise ConfigValidationError(
-                f"image_size {m.image_size} not divisible by patch {m.patch}")
         if m.d % m.heads != 0:
             raise ConfigValidationError(f"d {m.d} not divisible by heads {m.heads}")
+        # also divides d by the DFFM's squeeze-excitation reduction, 4
         if m.d % 4 != 0:
             raise ConfigValidationError(f"d {m.d} must be divisible by 4 (upscaling)")
-        if m.d % m.se_reduction != 0:
-            raise ConfigValidationError(
-                f"d {m.d} not divisible by se_reduction {m.se_reduction}")
         if not (1 <= m.lora_rank < m.d):
             raise ConfigValidationError(
                 f"lora_rank must satisfy 1 <= r < d, got {m.lora_rank}")
         t = self.train
         for k, v, least in (("lr", t.lr, "positive"),
                             ("weight_decay", t.weight_decay, "non-negative"),
-                            ("lambda_dice", t.lambda_dice, "non-negative"),
-                            ("dice_smooth", t.dice_smooth, "positive")):
+                            ("lambda_dice", t.lambda_dice, "non-negative")):
             if v < 0 or (v == 0 and least == "positive"):
                 raise ConfigValidationError(
                     f"invalid training hyperparameter: train.{k} must be "
@@ -167,14 +179,8 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigValidationError(f"unknown config keys: {sorted(unknown)}")
-        sections = {}
-        for section, cls in (("model", ModelConfig), ("train", TrainConfig)):
-            values = _drop_retired(section, doc.get(section, {}))
-            unknown = set(values) - {f.name for f in fields(cls)}
-            if unknown:
-                raise ConfigValidationError(
-                    f"unknown keys in config section '{section}': {sorted(unknown)}")
-            sections[section] = cls(**values)
+        sections = {section: _load_section(section, cls, doc.get(section, {}))
+                    for section, cls in (("model", ModelConfig), ("train", TrainConfig))}
         cfg = RunConfig(**sections, backbone_seed=doc.get("backbone_seed", 1234))
         cfg.validate()
         return cfg

@@ -97,7 +97,7 @@ def load_text_embeddings(path) -> ClassVocabulary:
             )
         if name in names:
             raise VocabularyFormatError(f"duplicate class name '{name}'")
-        if not all(isinstance(x, (int, float)) for x in emb):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in emb):
             raise VocabularyFormatError(
                 f"class '{name}' embedding is not a list of numbers")
         v = np.asarray(emb, dtype=np.float64)

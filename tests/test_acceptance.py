@@ -1,13 +1,17 @@
 """Acceptance suite: ten end-to-end criteria with pinned tolerances.
 
-Each test prints one PASS/FAIL line (visible via pytest -rA). The seeded
-training runs (criteria 3-5) are shared module-scoped fixtures; the full
-200-step benchmark pair stays well under the 10-minute budget on a laptop
-CPU (measured on 2 vCPUs with 2 OpenBLAS threads: ~10 s full model, ~13 s
-baseline, ~9 s without text, each including its 32-image evaluation).
+Each test prints one PASS/FAIL line (visible via pytest -rA). The three
+seeded 200-step runs of criteria 4 and 5 are shared module-scoped fixtures,
+computed in two spawned worker processes with one BLAS thread each: the
+baseline in one, the full model and the text-free model in the other. One
+BLAS thread gives bitwise the results of the default count
+(``test_threads.py``). Measured on 2 vCPUs, the workers took ~17 s
+(baseline) and ~19 s (full model, then without text), each run including
+its 32-image evaluation.
 """
 
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -27,8 +31,13 @@ from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 from rgbtseg.tensor import Tensor
 from rgbtseg.train import evaluate, train
 from rgbtseg.verify import run_suite
+from test_threads import THREAD_VARS
 
 TRAIN_SEED, TEST_SEED = 1000, 2000
+# the model flags of each 200-step run, and the runs each worker computes
+RUNS = {"full": {}, "baseline": {"enable_dffm": False}, "no_text": {"enable_text": False}}
+WORKERS = (("baseline",), ("full", "no_text"))
+RUN_TIMEOUT_S = 600
 
 
 def _report(criterion, passed, detail):
@@ -37,10 +46,14 @@ def _report(criterion, passed, detail):
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def bench():
+def _bench():
     return (gen_synthetic(64, (64, 64), seed=TRAIN_SEED, split="train"),
             gen_synthetic(32, (64, 64), seed=TEST_SEED, split="test"))
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _bench()
 
 
 def _train_and_eval(bench, **model_flags):
@@ -57,19 +70,41 @@ def _train_and_eval(bench, **model_flags):
     return evaluate(model, vocab, test_set)["overall"]
 
 
-@pytest.fixture(scope="module")
-def run_full(bench):
-    return _train_and_eval(bench)
+def _train_and_eval_runs(names):
+    """The overall results of the named runs, in a worker process."""
+    bench = _bench()
+    return {name: _train_and_eval(bench, **RUNS[name]) for name in names}
 
 
 @pytest.fixture(scope="module")
-def run_baseline(bench):
-    return _train_and_eval(bench, enable_dffm=False)
+def runs():
+    """A function from a run's name to its overall result. The workers start
+    with the thread variables set to 1, which are restored at once; a
+    worker's exception is raised again by the fixture that needs its run."""
+    with pytest.MonkeyPatch.context() as env:
+        for k in THREAD_VARS:
+            env.setenv(k, "1")
+        pool = multiprocessing.get_context("spawn").Pool(len(WORKERS))
+    with pool:
+        jobs = {}
+        for names in WORKERS:
+            jobs.update(dict.fromkeys(names, pool.apply_async(_train_and_eval_runs, (names,))))
+        yield lambda name: jobs[name].get(RUN_TIMEOUT_S)[name]
 
 
 @pytest.fixture(scope="module")
-def run_no_text(bench):
-    return _train_and_eval(bench, enable_text=False)
+def run_full(runs):
+    return runs("full")
+
+
+@pytest.fixture(scope="module")
+def run_baseline(runs):
+    return runs("baseline")
+
+
+@pytest.fixture(scope="module")
+def run_no_text(runs):
+    return runs("no_text")
 
 
 def test_1_gradient_correctness():

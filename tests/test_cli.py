@@ -257,6 +257,8 @@ def test_bad_config_exits_2(tmp_path, dataset):
     path.write_text(json.dumps({"model": {"patch": 7}}))
     assert cli.main(["train", "--data", str(dataset),
                      "--out", str(tmp_path / "o"), "--config", str(path)]) == 2
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -289,7 +291,11 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"train": {"cosine_lr": True}},
      "train.cosine_lr is retired; it loads only as false, got True"),
     ({"model": {"heads": 5}}, "d 64 not divisible by heads 5"),
-    ({"model": {"se_reduction": 5}}, "d 64 not divisible by se_reduction 5"),
+    ({"model": {"se_reduction": 5}},
+     "model.se_reduction is retired; it loads only as 4, got 5"),
+    ({"model": {"patch": 8.0}}, "model.patch is retired; it loads only as 8, got 8.0"),
+    ({"backbone_seed": -1}, "backbone_seed must be non-negative, got -1"),
+    ({"train": {"seed": -1}}, "train.seed must be non-negative, got -1"),
     ({"model": {"lora_rank": 64}}, "lora_rank must satisfy 1 <= r < d, got 64"),
     ({"model": {"d": 66, "heads": 2}}, "d 66 must be divisible by 4 (upscaling)"),
     ({"x": 1}, "unknown config keys: ['x']"),
@@ -299,8 +305,9 @@ def test_bad_config_exits_2(tmp_path, dataset):
         "model_unknown_key", "train_unknown_key", "lr_nan", "lora_alpha_inf",
         "lambda_dice_inf", "weight_decay_minus_inf", "lr_zero", "lambda_dice_negative",
         "lora_alpha_negative", "cosine_lr_true", "heads_not_dividing_d",
-        "se_reduction_not_dividing_d", "lora_rank_not_below_d", "d_not_divisible_by_4",
-        "top_unknown_key", "steps_negative"])
+        "se_reduction_retired", "patch_retired_float",
+        "backbone_seed_negative", "seed_negative", "lora_rank_not_below_d",
+        "d_not_divisible_by_4", "top_unknown_key", "steps_negative"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -394,13 +401,15 @@ def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,
 
 def test_a_run_directory_with_the_retired_keys_still_evaluates(short_run, dataset,
                                                                tmp_path):
-    """Before ``lora_alpha`` and ``cosine_lr`` were retired, ``to_json`` wrote
-    them into every config.json, at null and false; such a run directory
-    loads the same config and evaluates to the same bytes."""
+    """Before ten keys were retired, ``to_json`` wrote them into every
+    config.json, at the values below; such a run directory loads the same
+    config and evaluates to the same bytes."""
     doc = json.loads((short_run / "config.json").read_text())
     old_doc = json.loads((short_run / "config.json").read_text())
-    old_doc["model"]["lora_alpha"] = None
-    old_doc["train"]["cosine_lr"] = False
+    old_doc["model"].update(image_size=64, patch=8, lora_alpha=None, decoder_layers=2,
+                            mask_tokens=4, d_k=32, d_v=32, se_reduction=4)
+    old_doc["train"].update(dice_smooth=1.0, cosine_lr=False)
+    assert len(old_doc["model"]) + len(old_doc["train"]) + 1 == 27
     old = tmp_path / "old_run"
     shutil.copytree(short_run, old)
     (old / "config.json").write_text(json.dumps(old_doc, indent=2))
@@ -496,6 +505,20 @@ def test_sample_size_mismatch_exits_2_before_any_output(short_run, dataset, tmp_
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == ("error: manifest sample 3: label is 32x32, "
                                        "rgb is 64x64\n")
+    assert not out.exists()
+
+
+def test_a_label_outside_the_classes_exits_2_before_any_output(dataset, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    labels = read_pgm(data / "sample_0002_label.pgm")
+    labels[5, 7] = 9
+    write_pgm(data / "sample_0002_label.pgm", labels)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(out), "--steps", "1"]) == 2
+    assert capsys.readouterr().err == ("error: manifest sample 2: labels must lie in "
+                                       "[0, 4) or equal ignore=255; found 0..9\n")
     assert not out.exists()
 
 

@@ -51,6 +51,9 @@ def test_vocabulary_file_errors(tmp_path):
     path.write_text('{"dim": 4, "classes": [{"name": "a", "embedding": [1, 0]}]}')
     with pytest.raises(VocabularyFormatError):
         load_text_embeddings(path)
+    path.write_text('{"dim": 3, "classes": [{"name": "a", "embedding": [true, false, 0.5]}]}')
+    with pytest.raises(VocabularyFormatError, match="class 'a' embedding"):
+        load_text_embeddings(path)
 
 
 def test_point_encoding_shapes_and_bounds():
