@@ -40,6 +40,37 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``UsageError``, so it ends in one line
+    and exit 2 like every other malformed input, without the usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """The argparse type of ``--seed``: numpy's generators take only
+    non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _check_labels(samples, chosen, num_classes: int, ignore_label: int) -> None:
+    """Refuse the first of ``chosen``, naming its index in the manifest
+    ``samples``, that holds a label outside [0, num_classes) other than
+    ``ignore_label``: found later, it would end a run mid-way."""
+    for s in chosen:
+        try:
+            valid_labels(s.labels, num_classes, ignore_label)
+        except LabelError as e:
+            raise UsageError(f"manifest sample {samples.index(s)}: {e}") from None
+
+
 def _load_config(path: str | None) -> RunConfig:
     return RunConfig() if path is None else RunConfig.from_json_file(path)
 
@@ -109,11 +140,7 @@ def cmd_train(args) -> int:
     cfg.model.num_classes = vocab.num_classes
     _check_vocab(vocab, cfg)
     cfg.train.check_ignore_label(vocab.num_classes)
-    for s in train_samples:  # a bad label would otherwise end the run mid-way
-        try:
-            valid_labels(s.labels, vocab.num_classes, cfg.train.ignore_label)
-        except LabelError as e:
-            raise UsageError(f"manifest sample {samples.index(s)}: {e}") from None
+    _check_labels(samples, train_samples, vocab.num_classes, cfg.train.ignore_label)
     model = RgbtSegModel(cfg)
 
     out = Path(args.out)
@@ -147,15 +174,17 @@ def _load_model(ckpt_path, config_path) -> tuple[RgbtSegModel, RunConfig]:
 
 def cmd_eval(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
-    samples, class_names = load_dataset(args.data)
+    manifest, class_names = load_dataset(args.data)
     vocab = _resolve_vocab(args.classes, args.ckpt, class_names, cfg)
+    samples = manifest
     if args.split:
-        tagged = [s for s in samples if s.split == args.split]
+        tagged = [s for s in manifest if s.split == args.split]
         if not tagged:
             print(f"warning: no samples tagged '{args.split}'; "
                   "evaluating every sample", file=sys.stderr)
         else:
             samples = tagged
+    _check_labels(manifest, samples, vocab.num_classes, cfg.train.ignore_label)
     results = evaluate(model, vocab, samples, cfg.train.ignore_label)
 
     name_w = max(len(n) for n in vocab.names)
@@ -233,9 +262,8 @@ def cmd_params(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rgbtseg",
-                                description="RGB-thermal semantic segmentation "
-                                            "at desk scale")
+    p = _Parser(prog="rgbtseg",
+                description="RGB-thermal semantic segmentation at desk scale")
     p.add_argument("--print-config", action="store_true",
                    help="print the default config as JSON and exit")
     sub = p.add_subparsers(dest="command")
@@ -244,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=int, default=64)
     g.add_argument("--size", type=int, default=64)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--split", default="train")
     g.set_defaults(fn=cmd_gen_data)
 
@@ -277,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(fn=cmd_infer)
 
     v = sub.add_parser("gradcheck", help="run the gradient verification suite")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.set_defaults(fn=cmd_gradcheck)
 
     pa = sub.add_parser("params", help="print the trainable-parameter ledger")
@@ -288,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.print_config:
-        print(RunConfig().to_json())
-        return 0
-    if not getattr(args, "fn", None):
-        parser.print_help()
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if args.print_config:
+            print(RunConfig().to_json())
+            return 0
+        if not getattr(args, "fn", None):
+            parser.print_help()
+            return 2
         # the program checks every result it keeps for NaN and Inf itself, so
         # numpy's floating-point warnings would only precede its one-line abort
         with np.errstate(all="ignore"):

@@ -30,8 +30,7 @@ from rgbtseg.pnm import write_pgm, write_ppm
 from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 from rgbtseg.tensor import Tensor
 from rgbtseg.train import evaluate, train
-from rgbtseg.verify import run_suite
-from test_threads import THREAD_VARS
+from rgbtseg.verify import one_blas_thread, run_suite
 
 TRAIN_SEED, TEST_SEED = 1000, 2000
 # the model flags of each 200-step run, and the runs each worker computes
@@ -81,9 +80,7 @@ def runs():
     """A function from a run's name to its overall result. The workers start
     with the thread variables set to 1, which are restored at once; a
     worker's exception is raised again by the fixture that needs its run."""
-    with pytest.MonkeyPatch.context() as env:
-        for k in THREAD_VARS:
-            env.setenv(k, "1")
+    with one_blas_thread():
         pool = multiprocessing.get_context("spawn").Pool(len(WORKERS))
     with pool:
         jobs = {}

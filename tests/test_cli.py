@@ -508,17 +508,40 @@ def test_sample_size_mismatch_exits_2_before_any_output(short_run, dataset, tmp_
     assert not out.exists()
 
 
-def test_a_label_outside_the_classes_exits_2_before_any_output(dataset, tmp_path, capsys):
+def _data_with_a_label_9(dataset, tmp_path):
+    """The dataset with one pixel of sample 2's 4-class label map set to 9."""
     data = tmp_path / "ds"
     shutil.copytree(dataset, data)
     labels = read_pgm(data / "sample_0002_label.pgm")
     labels[5, 7] = 9
     write_pgm(data / "sample_0002_label.pgm", labels)
+    return data
+
+
+LABEL_9 = ("error: manifest sample 2: labels must lie in [0, 4) or equal ignore=255; "
+           "found 0..9\n")
+
+
+def test_a_label_outside_the_classes_exits_2_before_any_output(dataset, tmp_path, capsys):
+    data = _data_with_a_label_9(dataset, tmp_path)
     out = tmp_path / "o"
     capsys.readouterr()
     assert cli.main(["train", "--data", str(data), "--out", str(out), "--steps", "1"]) == 2
-    assert capsys.readouterr().err == ("error: manifest sample 2: labels must lie in "
-                                       "[0, 4) or equal ignore=255; found 0..9\n")
+    assert capsys.readouterr().err == LABEL_9
+    assert not out.exists()
+
+
+def test_eval_refuses_a_label_outside_the_classes_before_predicting(
+        short_run, dataset, tmp_path, capsys, monkeypatch):
+    data = _data_with_a_label_9(dataset, tmp_path)
+    out = tmp_path / "r.json"
+    predicted = []
+    monkeypatch.setattr(RgbtSegModel, "predict", lambda *a, **k: predicted.append(a))
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
+                     "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == LABEL_9
+    assert predicted == []
     assert not out.exists()
 
 
@@ -626,12 +649,17 @@ def _three_class_vocab(tmp_path):
      "referenced thermal file missing: "),
     (lambda run, data, tmp: _eval(run / "checkpoint.tseg", tmp / "no_data", tmp),
      "manifest not found: "),
+    (lambda run, data, tmp: ["gradcheck", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (lambda run, data, tmp: ["gen-data", "--out", str(tmp / "ds"), "--seed", "-3"],
+     "argument --seed: must be a non-negative integer, got '-3'"),
 ], ids=["labels_out_of_range", "ckpt_is_dir", "out_is_dir", "points_too_short",
         "gen_data_out_under_file", "gen_data_n_negative", "gen_data_size_zero",
         "infer_empty_image", "config_malformed_json", "ckpt_trailing_bytes",
         "ckpt_record_cut_short", "ckpt_record_header_cut_short", "ppm_maxval_65535",
         "ppm_header_without_payload", "ppm_non_integer_token", "infer_no_vocabulary",
-        "manifest_file_missing", "manifest_missing"])
+        "manifest_file_missing", "manifest_missing", "gradcheck_seed_negative",
+        "gen_data_seed_negative"])
 def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
                                          argv, message):
     args = argv(short_run, dataset, tmp_path)

@@ -13,8 +13,8 @@ from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary
 from rgbtseg.train import train
+from rgbtseg.verify import THREAD_VARS
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LABELS = "predict labels"
 
 

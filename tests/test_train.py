@@ -131,6 +131,7 @@ model = RgbtSegModel(cfg)
 vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
 train(model, vocab, gen_synthetic(4, (32, 32), seed=1), cfg.train)
 verify.run_suite(0)
+verify.full_model_check(0, max_coords_per_input=1)  # run_suite runs it in a worker
 print("numpy.ma" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -2,8 +2,14 @@
 each pick's finite differences at the first stage of ``verify.loss_chain``
 (the encoder's and the decoder's stages, then the loss) that reads the pick,
 from stage inputs computed once; on every config that must not change the
-report."""
+report. ``run_suite`` computes the full-model check in a worker process and
+must return the report of the in-process composition."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +158,52 @@ def test_an_ablation_passes_the_end_to_end_gradcheck(config_name):
     report = verify.full_model_check(0, cfg=cfg, max_coords_per_input=4)
     assert report.passed, (picks[report.worst_input], report.max_rel_err)
     assert report.checked_coords == 4 * len(picks)
+
+
+def test_the_suite_equals_its_in_process_composition():
+    results, passed = verify.run_suite(1)
+    composed = list(verify.op_checks(1)) + [("full_model", verify.full_model_check(1))]
+    assert repr(results) == repr(composed)
+    assert passed
+
+
+def _worker_pid() -> int:
+    return verify._worker.submit(os.getpid).result(timeout=60)
+
+
+def test_the_first_suite_leaves_the_environment_and_exit_joins_the_worker():
+    """One thread variable set to 2 and the others unset: the worker starts
+    with all three at 1, the caller's environment is as it was, and the
+    worker is gone once the interpreter that started it has exited."""
+    code = """
+import json, os
+from rgbtseg import verify
+before = {k: os.environ.get(k) for k in verify.THREAD_VARS}
+results, passed = verify.run_suite(0)
+after = {k: os.environ.get(k) for k in verify.THREAD_VARS}
+worker = verify._worker
+seen = [worker.submit(os.getenv, k).result(timeout=60) for k in verify.THREAD_VARS]
+pid = worker.submit(os.getpid).result(timeout=60)
+print(json.dumps([passed, before == after, seen, pid]))
+"""
+    src = Path(verify.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in verify.THREAD_VARS}
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    passed, unchanged, seen, pid = json.loads(proc.stdout)
+    assert passed and unchanged and seen == ["1"] * 3
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_a_killed_worker_fails_one_suite_and_the_next_starts_afresh():
+    verify.run_suite(0)
+    pid = _worker_pid()
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="worker process died"):
+        verify.run_suite(0)
+    assert verify.run_suite(0)[1]
+    assert _worker_pid() != pid
