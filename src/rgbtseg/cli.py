@@ -75,32 +75,16 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig() if path is None else RunConfig.from_json_file(path)
 
 
-def _check_vocab(vocab: ClassVocabulary, cfg: RunConfig) -> None:
-    """Reject a vocabulary the model of ``cfg`` cannot score: embeddings not
-    of width d_t or, for the text-free head, another class count."""
-    if vocab.dim != cfg.model.d_t:
-        raise UsageError(
-            f"class embedding dim {vocab.dim} does not match the model's d_t "
-            f"{cfg.model.d_t}")
-    if not cfg.model.enable_text and vocab.num_classes != cfg.model.num_classes:
-        raise UsageError(
-            f"{vocab.num_classes} classes do not match the text-free head's "
-            f"{cfg.model.num_classes}")
-
-
 def _resolve_vocab(classes_path, ckpt_path, class_names, cfg) -> ClassVocabulary:
     """The vocabulary of --classes, else the checkpoint's sibling classes.json,
-    else ``class_names``; checked against the loaded model's config."""
+    else ``class_names``, whose toy embeddings take the width d_t of ``cfg``."""
     if classes_path:
-        vocab = load_text_embeddings(classes_path)
-    elif ckpt_path and (Path(ckpt_path).parent / "classes.json").exists():
-        vocab = load_text_embeddings(Path(ckpt_path).parent / "classes.json")
-    elif class_names is None:
+        return load_text_embeddings(classes_path)
+    if ckpt_path and (Path(ckpt_path).parent / "classes.json").exists():
+        return load_text_embeddings(Path(ckpt_path).parent / "classes.json")
+    if class_names is None:
         raise UsageError("no class vocabulary available; pass --classes")
-    else:
-        vocab = ClassVocabulary.from_names(class_names, cfg.model.d_t, cfg.backbone_seed)
-    _check_vocab(vocab, cfg)
-    return vocab
+    return ClassVocabulary.from_names(class_names, cfg.model.d_t, cfg.backbone_seed)
 
 
 def cmd_gen_data(args) -> int:
@@ -134,14 +118,12 @@ def cmd_train(args) -> int:
         print("warning: no samples tagged 'train'; training on all samples",
               file=sys.stderr)
         train_samples = samples
-    vocab = (load_text_embeddings(args.classes) if args.classes
-             else ClassVocabulary.from_names(class_names, cfg.model.d_t,
-                                             cfg.backbone_seed))
-    cfg.model.num_classes = vocab.num_classes
-    _check_vocab(vocab, cfg)
+    vocab = _resolve_vocab(args.classes, None, class_names, cfg)
+    cfg.model.num_classes = vocab.num_classes  # sizes the text-free head
+    model = RgbtSegModel(cfg)
+    model.decoder.check_vocab(vocab)
     cfg.train.check_ignore_label(vocab.num_classes)
     _check_labels(samples, train_samples, vocab.num_classes, cfg.train.ignore_label)
-    model = RgbtSegModel(cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,6 +158,7 @@ def cmd_eval(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
     manifest, class_names = load_dataset(args.data)
     vocab = _resolve_vocab(args.classes, args.ckpt, class_names, cfg)
+    model.decoder.check_vocab(vocab)
     samples = manifest
     if args.split:
         tagged = [s for s in manifest if s.split == args.split]
@@ -224,6 +207,7 @@ def _parse_points(spec: str | None) -> PointPrompt:
 def cmd_infer(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
     vocab = _resolve_vocab(args.classes, args.ckpt, None, cfg)
+    model.decoder.check_vocab(vocab)
     if vocab.num_classes > 256:
         raise UsageError(f"{vocab.num_classes} classes do not fit the 8-bit mask "
                          "infer writes (at most 256)")

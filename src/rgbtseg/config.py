@@ -149,7 +149,7 @@ class RunConfig:
         # also divides d by the DFFM's squeeze-excitation reduction, 4
         if m.d % 4 != 0:
             raise ConfigValidationError(f"d {m.d} must be divisible by 4 (upscaling)")
-        if not (1 <= m.lora_rank < m.d):
+        if m.lora_rank >= m.d:  # the loop above holds 1 <= r
             raise ConfigValidationError(
                 f"lora_rank must satisfy 1 <= r < d, got {m.lora_rank}")
         t = self.train

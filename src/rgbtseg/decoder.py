@@ -44,7 +44,7 @@ from .layers import (ConvTranspose2x2, LayerNorm, Linear, Mlp,
                      tokens_to_grid)
 from .params import ParamRegistry, derive_rng
 from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 
 @dataclass
@@ -190,11 +190,23 @@ class MaskDecoder:
         logits = self.class_logits(e_mask, text_scores, keys, out_size)
         return logits[..., np.argsort(order)]
 
+    def check_vocab(self, vocab: ClassVocabulary) -> None:
+        """Refuse a vocabulary this decoder cannot score: embeddings not of
+        width d_t or, for the text-free head, another class count."""
+        if vocab.dim != self.cfg.d_t:
+            raise ShapeError(f"class embedding dim {vocab.dim} does not match the "
+                             f"model's d_t {self.cfg.d_t}")
+        if not self.cfg.enable_text and vocab.num_classes != self.cfg.num_classes:
+            raise ShapeError(f"{vocab.num_classes} classes do not match the "
+                             f"text-free head's {self.cfg.num_classes}")
+
     def stages(self, vocab: ClassVocabulary, points: PointPrompt,
                size: tuple[int, int]) -> list:
         """The decoder as a list in the form of ``RgbtEncoder.stages``, from the
         encoder output to the logits [..., H, W, C] at ``size`` in ``vocab``
-        order. Each stage looks its method up when it runs."""
+        order, once ``check_vocab`` passes. Each stage looks its method up when
+        it runs."""
+        self.check_vocab(vocab)
         return [(("decoder.twoway.", "decoder.tokens.", "prompt."),
                  lambda e: self.two_way_transformer(
                      e, self.prompt_encoder.encode_points(points, size))),

@@ -6,7 +6,9 @@ hierarchical name prefix, all trainable: ``params.ledger_group`` decides what
 the model freezes. Feature maps are Tensors shaped [..., H, W, d];
 token sequences are [..., n, d]; grid<->token reshapes are bit-exact. Every
 layer takes any number of leading batch axes, and a call without one is the
-zero-leading-axes case of the same code.
+zero-leading-axes case of the same code. No constructor re-checks its
+dimensions: ``RunConfig.validate`` holds those rules, and the model runs it
+before it builds a layer.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from . import tensor as T
 from .lora import LoraLinear
 from .params import ParamRegistry
 from .tensor import ShapeError, Tensor
-
-
-class ConfigError(ValueError):
-    """Raised when layer dimensions are inconsistent."""
 
 
 def grid_to_tokens(x: Tensor) -> Tensor:
@@ -67,8 +65,6 @@ class LayerNorm:
     EPS = 1e-6
 
     def __init__(self, reg: ParamRegistry, name: str, d: int):
-        if d < 1:
-            raise ConfigError("layer_norm needs d >= 1")
         self.gamma = reg.register(f"{name}.gamma", Tensor(np.ones(d)))
         self.beta = reg.register(f"{name}.beta", Tensor(np.zeros(d)))
 
@@ -87,8 +83,6 @@ class MultiHeadAttention:
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, heads: int,
                  rng: np.random.Generator, lora_rank: int | None = None):
-        if d % heads != 0:
-            raise ConfigError(f"model dim {d} not divisible by heads {heads}")
         self.heads = heads
         self.scale = 1.0 / np.sqrt(d // heads)
 
@@ -117,8 +111,6 @@ class SEBlock:
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, reduction: int,
                  rng: np.random.Generator, init_gain: float = 1.0):
-        if d % reduction != 0:
-            raise ConfigError(f"channels {d} not divisible by reduction {reduction}")
         hidden = d // reduction
         self.fc1 = Linear(reg, f"{name}.fc1", d, hidden, rng, init_gain)
         self.fc2 = Linear(reg, f"{name}.fc2", hidden, d, rng, init_gain)
@@ -140,13 +132,11 @@ class PatchEmbed(Linear):
     def __init__(self, reg: ParamRegistry, name: str, patch: int, in_ch: int,
                  d: int, rng: np.random.Generator, init_gain: float = 1.0):
         super().__init__(reg, name, patch * patch * in_ch, d, rng, init_gain)
-        self.patch, self.in_ch = patch, in_ch
+        self.patch = patch
 
     def __call__(self, img: Tensor) -> Tensor:
         *lead, h, w, c = img.shape
         p = self.patch
-        if c != self.in_ch:
-            raise ShapeError(f"expected {self.in_ch} channels, got {c}")
         if h < p or w < p:
             raise ShapeError(f"image {h}x{w} is smaller than patch size {p}")
         if h % p != 0 or w % p != 0:

@@ -19,21 +19,16 @@ from .params import ParamRegistry
 from .tensor import ShapeError, Tensor
 
 
-class LoraConfigError(ValueError):
-    pass
-
-
 class LoraLinear:
     """Base projection (W0, b0) with a rank-r update (A, B) on top.
 
     Weights are stored row-convention ([d_in, d_out], applied as x @ W), so
-    the update term enters as x @ A^T @ B^T.
+    the update term enters as x @ A^T @ B^T. ``rank`` lies in [1, d), as
+    ``RunConfig.validate`` ensures.
     """
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, rank: int,
                  rng: np.random.Generator):
-        if rank < 1 or rank >= d:
-            raise LoraConfigError(f"rank must satisfy 1 <= r < d, got r={rank}, d={d}")
         self.d = d
         std = 1.0 / np.sqrt(d)
         self.W0 = reg.register(f"{name}.W0", Tensor(rng.normal(0.0, std, (d, d))))

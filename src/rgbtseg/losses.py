@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
+from .config import TrainConfig
 from .tensor import ShapeError, Tensor
 
 
@@ -37,8 +38,9 @@ def valid_labels(labels: np.ndarray, num_classes: int, ignore_label: int):
 
 
 def _loss(logits: Tensor, labels: np.ndarray, ignore_label: int,
-          w_ce: float, w_dice: float, smooth: float) -> Tensor:
-    """``w_ce * CE + w_dice * Dice`` over one check and encoding of the labels."""
+          w_ce: float, w_dice: float) -> Tensor:
+    """``w_ce * CE + w_dice * Dice`` over one check and encoding of the labels,
+    the Dice term smoothed by ``TrainConfig.dice_smooth``."""
     if logits.ndim < 3:
         raise ShapeError(f"logits must be [..., H, W, C], got {logits.shape}")
     *_, h, w, c = logits.shape
@@ -53,29 +55,28 @@ def _loss(logits: Tensor, labels: np.ndarray, ignore_label: int,
     if not n_valid.any():
         return Tensor(0.0)
     onehot = (labels == np.arange(c)[:, None, None]) & valid
-    return T.ce_dice(logits, onehot, valid, w_ce, w_dice, smooth)
+    return T.ce_dice(logits, onehot, valid, w_ce, w_dice, TrainConfig.dice_smooth)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,
                   ignore_label: int = 255) -> Tensor:
     """Per image, the mean over non-ignored pixels of -log softmax(logits)[label];
     then the mean over images."""
-    return _loss(logits, labels, ignore_label, 1.0, 0.0, 1.0)
+    return _loss(logits, labels, ignore_label, 1.0, 0.0)
 
 
-def dice_loss(logits: Tensor, labels: np.ndarray, ignore_label: int = 255,
-              smooth: float = 1.0) -> Tensor:
+def dice_loss(logits: Tensor, labels: np.ndarray, ignore_label: int = 255) -> Tensor:
     """1 - mean over classes of the soft Dice coefficient, per image; then
     the mean over images.
 
     Probabilities come from softmax over the class axis; ignored pixels are
     excluded from every sum. Classes absent from both prediction mass and
-    labels score smooth/smooth = 1.
+    labels score smooth/smooth = 1, with smooth ``TrainConfig.dice_smooth``.
     """
-    return _loss(logits, labels, ignore_label, 0.0, 1.0, smooth)
+    return _loss(logits, labels, ignore_label, 0.0, 1.0)
 
 
 def total_loss(logits: Tensor, labels: np.ndarray, lambda_dice: float = 1.0,
-               ignore_label: int = 255, smooth: float = 1.0) -> Tensor:
+               ignore_label: int = 255) -> Tensor:
     """cross_entropy + lambda_dice * dice_loss as one tape node."""
-    return _loss(logits, labels, ignore_label, 1.0, lambda_dice, smooth)
+    return _loss(logits, labels, ignore_label, 1.0, lambda_dice)

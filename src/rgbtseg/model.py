@@ -40,9 +40,9 @@ class RgbtSegModel:
             raise ShapeError(f"rgb must be [..., H, W, 3], got {rgb.shape}")
         if th.ndim < 3 or th.shape[-1] != 1:
             raise ShapeError(f"thermal must be [..., H, W, 1], got {th.shape}")
+        stages = self.decoder.stages(vocab, points or PointPrompt([]), rgb.shape[-3:-1])
         x = self.encoder.forward(rgb, th)
-        for _, stage in self.decoder.stages(vocab, points or PointPrompt([]),
-                                            rgb.shape[-3:-1]):
+        for _, stage in stages:
             x = stage(x)
         return DecoderOutputs(logits=x)
 

@@ -144,8 +144,6 @@ class PromptEncoder:
     """
 
     def __init__(self, reg: ParamRegistry, d: int, seed: int):
-        if d % 2 != 0:
-            raise ValueError(f"prompt embedding dim must be even, got {d}")
         self.d = d
         rng = derive_rng(seed, "prompt.fourier")
         self.fourier = reg.register("prompt.fourier",

@@ -519,8 +519,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                            "linear")
 
 
-def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor,
-                b: Tensor) -> Tensor:
+def lora_linear(x: Tensor, w0: Tensor, b0: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """``x @ w0 + (x @ aᵀ) @ bᵀ + b0`` on the last axis: a projection with a
     rank-r update, ``a`` [r, d_in] and ``b`` [d_out, r]."""
     d_in, d_out = w0.shape
@@ -528,10 +527,8 @@ def lora_linear(x: Tensor, w0: Tensor, b0: Tensor | None, a: Tensor,
     xa = np.matmul(x2, a.data.T)
     data = np.matmul(x2, w0.data)
     data += np.matmul(xa, b.data.T)
-    if b0 is not None:
-        data += b0.data
-    xn, w0n, an, bn = _grad_node(x), _grad_node(w0), _grad_node(a), _grad_node(b)
-    b0n = None if b0 is None else _grad_node(b0)
+    data += b0.data
+    xn, w0n, b0n, an, bn = map(_grad_node, (x, w0, b0, a, b))
     x_shape = x.shape
     w0_data = w0.data if xn is not None else None
     a_data = a.data if xn is not None else None

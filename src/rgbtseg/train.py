@@ -70,8 +70,7 @@ def _batch_loss(model: RgbtSegModel, vocab: ClassVocabulary,
         labels = np.stack([s.labels for s in group])
         out = model.forward(np.stack([s.rgb for s in group]),
                             np.stack([s.thermal for s in group]), vocab)
-        term = total_loss(out.logits, labels, cfg.lambda_dice,
-                          cfg.ignore_label, cfg.dice_smooth)
+        term = total_loss(out.logits, labels, cfg.lambda_dice, cfg.ignore_label)
         term = term * (len(group) / cfg.batch)
         loss = term if loss is None else loss + term
         acc.update(np.argmax(out.logits.data, axis=-1), labels)
@@ -158,22 +157,22 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
              samples: list[RgbtSample],
              ignore_label: int = 255) -> dict[str, SplitResult]:
     """Per-split metric tables; splits come from the samples' tags, plus an
-    'overall' row aggregating everything."""
+    'overall' row aggregating everything, whose integer counts are the sum of
+    the splits'."""
     accs: dict[str, IouAccumulator] = {}
     counts: dict[str, int] = {}
-    overall = IouAccumulator(vocab.num_classes, ignore_label)
-    n = 0
     for s in samples:
         pred = model.predict(s.rgb, s.thermal, vocab)
-        labels = s.labels
-        overall.update(pred, labels)
-        n += 1
         acc = accs.setdefault(s.split, IouAccumulator(vocab.num_classes, ignore_label))
-        acc.update(pred, labels)
+        acc.update(pred, s.labels)
         counts[s.split] = counts.get(s.split, 0) + 1
+    overall = IouAccumulator(vocab.num_classes, ignore_label)
+    for acc in accs.values():
+        overall.counts += acc.counts
     results = {
         split: SplitResult(split, acc.iou(), acc.miou(), counts[split])
         for split, acc in accs.items()
     }
-    results["overall"] = SplitResult("overall", overall.iou(), overall.miou(), n)
+    results["overall"] = SplitResult("overall", overall.iou(), overall.miou(),
+                                     len(samples))
     return results

@@ -16,20 +16,15 @@ exactly the cached input, so the report is bitwise the report of a check
 that runs the full forward for every evaluation.
 
 ``run_suite`` runs the two halves side by side: the full-model check in one
-spawned worker process, which lives until the interpreter exits, and the op
-checks in the caller. The halves are independent and each takes about half
-the suite (on 2 vCPUs, op checks 430-506 ms, the full-model check 500-790
-ms). The op checks' products are too small for OpenBLAS to thread, but the
-full-model check's 64x64x64 products take both of its threads, so the worker
-runs one BLAS thread and leaves the second core to the op checks. Over 10
-alternating 10 s benchmark pairs the suite's median fell from 1056 to 726
-ms. Variants that gained nothing: a worker at 2 BLAS threads (1104 against
-1094 ms), and the op checks in the worker with the full-model check in the
-caller (1036 against 978 ms); a fresh worker per suite gained only 19%
-(1003 against 1244 ms). The first suite in a process also pays the worker's
-start, a fresh interpreter importing rgbtseg, which overlaps the op checks.
-One BLAS thread gives bitwise the results of the default count, so the
-report is that of the in-process composition.
+spawned worker process and the op checks in the caller. The halves are
+independent and each takes about half the suite. The op checks' products are
+too small for OpenBLAS to thread, but the full-model check's 64x64x64
+products would take every BLAS thread, so the worker runs one and leaves the
+other core to the op checks. The worker persists until the interpreter
+exits, because starting one means a fresh interpreter importing rgbtseg: only
+the first suite in a process pays that, overlapped with the op checks. One
+BLAS thread gives bitwise the results of the default count, so the report is
+that of the in-process composition.
 """
 
 from __future__ import annotations
@@ -74,8 +69,8 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
     rng = np.random.default_rng(seed)
     shapes = [(2, 3), (4, 4), (3, 5)]
 
-    def check(name, f, *inputs, **kw):
-        return name, gradcheck(f, list(inputs), tol=tol, **kw)
+    def check(name, f, *inputs):
+        return name, gradcheck(f, list(inputs), tol=tol)
 
     for si, (m, n) in enumerate(shapes):
         k = m + 1

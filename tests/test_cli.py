@@ -297,6 +297,8 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"backbone_seed": -1}, "backbone_seed must be non-negative, got -1"),
     ({"train": {"seed": -1}}, "train.seed must be non-negative, got -1"),
     ({"model": {"lora_rank": 64}}, "lora_rank must satisfy 1 <= r < d, got 64"),
+    ({"model": {"lora_rank": 0}}, "lora_rank must be positive, got 0"),
+    ({"model": {"d": 0}}, "d must be positive, got 0"),
     ({"model": {"d": 66, "heads": 2}}, "d 66 must be divisible by 4 (upscaling)"),
     ({"x": 1}, "unknown config keys: ['x']"),
     ({"train": {"steps": -1}}, "steps must be >= 0 and batch >= 1"),
@@ -307,7 +309,7 @@ def test_bad_config_exits_2(tmp_path, dataset):
         "lora_alpha_negative", "cosine_lr_true", "heads_not_dividing_d",
         "se_reduction_retired", "patch_retired_float",
         "backbone_seed_negative", "seed_negative", "lora_rank_not_below_d",
-        "d_not_divisible_by_4", "top_unknown_key", "steps_negative"])
+        "lora_rank_zero", "d_zero", "d_not_divisible_by_4", "top_unknown_key", "steps_negative"])
 def test_bad_config_exits_2_with_one_line(tmp_path, dataset, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

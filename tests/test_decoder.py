@@ -1,14 +1,23 @@
 """Mask decoder: LoRA init identity, output shapes, text path equivariance,
-and the class-space head against its feature-space composition."""
+the class-space head against its feature-space composition, and the
+vocabulary rule."""
+
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rgbtseg import tensor as T
 from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES
 from rgbtseg.layers import bilinear_resize
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary, PointPrompt
-from rgbtseg.tensor import Tensor
+from rgbtseg.tensor import ShapeError, Tensor
+from rgbtseg.train import evaluate, train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _model(**flags):
@@ -111,3 +120,27 @@ def test_class_space_head_matches_the_feature_space_composition():
             for got, want in zip(*results):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (c, lead)
+
+
+@pytest.mark.parametrize("entry", ["predict", "train", "evaluate"])
+def test_every_entry_point_refuses_a_vocabulary_the_decoder_cannot_score(
+        tiny_dataset, entry):
+    """``MaskDecoder.stages`` checks the vocabulary before any stage runs, so
+    the library refuses what the CLI refuses, with the same message: the
+    text-free head of the baseline scores exactly its 4 classes, and every
+    model takes embeddings of width d_t only."""
+    cfg = RunConfig.from_json_file(CONFIGS / "ablation_1_baseline.json")
+    model = RgbtSegModel(cfg)
+    before = {n: t.data.copy() for n, (t, _) in model.registry.items()}
+    sample = tiny_dataset[0]
+    run = {"predict": lambda v: model.predict(sample.rgb, sample.thermal, v),
+           "train": lambda v: train(model, v, tiny_dataset, cfg.train),
+           "evaluate": lambda v: evaluate(model, v, tiny_dataset)}[entry]
+    for vocab, message in [
+            (ClassVocabulary.from_names(CLASS_NAMES[:3], cfg.model.d_t),
+             "3 classes do not match the text-free head's 4"),
+            (ClassVocabulary.from_names(CLASS_NAMES, 16),
+             f"class embedding dim 16 does not match the model's d_t {cfg.model.d_t}")]:
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            run(vocab)
+    assert all(np.array_equal(t.data, before[n]) for n, (t, _) in model.registry.items())

@@ -1,9 +1,9 @@
-"""Low-rank adapters: init identity, scaling, rank checks, freezing."""
+"""Low-rank adapters: init identity, scaling, freezing. The rank bounds are
+the config's (``tests/test_config.py``, ``tests/test_cli.py``)."""
 
 import numpy as np
-import pytest
 
-from rgbtseg.lora import LoraConfigError, LoraLinear
+from rgbtseg.lora import LoraLinear
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.params import ParamRegistry
 from rgbtseg.tensor import Tensor
@@ -35,13 +35,6 @@ def test_the_update_is_b_a_at_scale_one(rng):
     update = layer(x).data - (x.data @ layer.W0.data + layer.b0.data)
     expected = (x.data @ layer.A.data.T) @ layer.B.data.T
     assert np.abs(update - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def test_rank_validation():
-    with pytest.raises(LoraConfigError):
-        _make(rank=0)
-    with pytest.raises(LoraConfigError):
-        _make(rank=16)
 
 
 def test_param_registry_freezing(default_cfg):

@@ -240,7 +240,7 @@ def _every_op_loss(rng, params):
     outlive the call."""
     w, w0, a, b, gamma, beta = params
     x = Tensor(rng.normal(size=(2, 5, 6)))
-    h = T.gelu(T.linear(x, w)) + T.lora_linear(x, w0, None, a, b)
+    h = T.gelu(T.linear(x, w)) + T.lora_linear(x, w0, Tensor(np.zeros(8)), a, b)
     h = T.attention(*[T.layer_norm(h, gamma, beta, 1e-6)] * 3, heads=2, scale=0.5)
     h = T.concat([T.relu(h), T.sigmoid(h)[:, ::-1]], axis=-1)
     h = T.matmul(h.reshape(10, 16), Tensor(rng.normal(size=(16, 3))))

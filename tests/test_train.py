@@ -1,6 +1,6 @@
 """The training step: one finite check per step, a replay that names the op or
 the parameter, nothing moved by a failed step, the tape-node, memory and
-matmul budgets, and no numpy.ma import."""
+matmul budgets, and no numpy.ma import; and evaluation's overall row."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rgbtseg import metrics
 from rgbtseg import tensor as T
 from rgbtseg import train as train_mod
 from rgbtseg.config import ConfigValidationError, RunConfig
@@ -65,7 +66,7 @@ def _step_loss(cfg, model, vocab, samples):
     logits = model.forward(np.stack([s.rgb for s in samples]),
                            np.stack([s.thermal for s in samples]), vocab).logits
     return total_loss(logits, np.stack([s.labels for s in samples]),
-                      cfg.train.lambda_dice, cfg.train.ignore_label, cfg.train.dice_smooth)
+                      cfg.train.lambda_dice, cfg.train.ignore_label)
 
 
 def test_training_step_stays_within_the_tape_node_budget():
@@ -221,3 +222,27 @@ def test_ignore_label_inside_the_class_range_is_rejected(ignore):
     cfg.train.ignore_label = ignore
     with pytest.raises(ConfigValidationError, match=f"ignore_label {ignore}"):
         train_mod.train(model, vocab, samples, cfg.train)
+
+
+def test_evaluate_scores_the_overall_row_over_every_sample_once(monkeypatch):
+    """The overall row sums the splits' integer counts: each image is counted
+    once, and the row equals, bitwise, one accumulation over every sample."""
+    _, model, vocab, samples = _setup()
+    samples = [*samples, *gen_synthetic(2, (32, 32), seed=9, split="test")]
+    calls, count = [], metrics.confusion_counts
+
+    def counting(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(metrics, "confusion_counts", counting)
+    results = train_mod.evaluate(model, vocab, samples)
+    assert len(calls) == len(samples)
+    preds = np.stack([model.predict(s.rgb, s.thermal, vocab) for s in samples])
+    labels = np.stack([s.labels for s in samples])
+    assert {split: r.num_samples for split, r in results.items()} == {
+        "train": 4, "test": 2, "overall": 6}
+    overall = results["overall"]
+    assert np.array_equal(overall.per_class,
+                          metrics.iou_per_class(preds, labels, vocab.num_classes),
+                          equal_nan=True)
