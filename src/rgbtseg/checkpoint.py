@@ -17,10 +17,10 @@ Layout (all integers little-endian):
 A frozen tensor is regenerated bitwise from the config's ``backbone_seed``,
 so a file stores only the trained tensors and a digest of each frozen one:
 0.7 MB for the default model, against 3.5 MB when version 1 stored every
-value. A loaded frozen record is a ``FrozenDigest``, from either version;
-``ParamRegistry.load_state`` checks the regenerated weights against it.
-
-Round trips are bit-exact, including frozen flags and digests.
+value. A state maps each name to an array (a trainable record) or to a
+``FrozenDigest`` (a frozen one, from either version), so the value's type is
+the frozen flag; ``ParamRegistry.load_state`` checks the regenerated weights
+against each digest. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -76,25 +76,21 @@ class FrozenDigest:
         return cls(tuple(np.shape(arr)), hashlib.sha256(raw).digest())
 
 
-def serialize(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> bytes:
+def serialize(state: dict[str, np.ndarray | FrozenDigest]) -> bytes:
     out = [MAGIC, struct.pack("<II", VERSION, len(state))]
-    for name, (value, frozen) in state.items():
-        if isinstance(value, FrozenDigest):
-            if not frozen:
-                raise CheckpointError(f"trainable '{name}' has a digest, not data")
+    for name, value in state.items():
+        frozen = isinstance(value, FrozenDigest)
+        if frozen:
             shape, data = value.shape, value.sha256
         else:
             arr = np.asarray(value, order="C")  # unlike ascontiguousarray, keeps 0-d
             if arr.dtype != np.float64:
                 raise CheckpointError(f"unsupported dtype {arr.dtype} for '{name}'")
-            shape = arr.shape
-            data = (FrozenDigest.of(arr).sha256 if frozen
-                    else memoryview(arr.astype(_F8, copy=False)))
+            shape, data = arr.shape, memoryview(arr.astype(_F8, copy=False))
         nb = name.encode()
         out.append(struct.pack("<I", len(nb)))
         out.append(nb)
-        out.append(struct.pack(f"<BB{len(shape)}IB", _FLOAT64, len(shape), *shape,
-                               1 if frozen else 0))
+        out.append(struct.pack(f"<BB{len(shape)}IB", _FLOAT64, len(shape), *shape, frozen))
         out.append(data)
     crc = 0
     for chunk in out:
@@ -103,7 +99,7 @@ def serialize(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> bytes
     return b"".join(out)
 
 
-def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]]:
+def deserialize(blob: bytes) -> dict[str, np.ndarray | FrozenDigest]:
     """The state in ``blob``: a trainable record as an array that owns its
     data, copied once out of a view of the blob, and a frozen record as a
     ``FrozenDigest`` (of version 1, hashed from the blob view)."""
@@ -118,7 +114,7 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]
     if version not in (1, VERSION):
         raise BadVersionError(f"unsupported checkpoint version {version}")
     pos = 12
-    state: dict[str, tuple[np.ndarray | FrozenDigest, bool]] = {}
+    state: dict[str, np.ndarray | FrozenDigest] = {}
     try:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, pos)
@@ -142,12 +138,11 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]
             raw = body[pos:pos + nbytes]
             pos += nbytes
             if not frozen:
-                value = np.frombuffer(raw, dtype=_F8).reshape(dims).astype(np.float64)
+                state[name] = np.frombuffer(raw, dtype=_F8).reshape(dims).astype(np.float64)
             elif version == VERSION:
-                value = FrozenDigest(dims, bytes(raw))
+                state[name] = FrozenDigest(dims, bytes(raw))
             else:
-                value = FrozenDigest(dims, hashlib.sha256(raw).digest())
-            state[name] = (value, bool(frozen))
+                state[name] = FrozenDigest(dims, hashlib.sha256(raw).digest())
     except struct.error as e:
         raise TruncatedError(f"checkpoint ends mid-record: {e}") from e
     if pos != len(body):
@@ -155,8 +150,7 @@ def deserialize(blob: bytes) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]
     return state
 
 
-def save_checkpoint(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]],
-                    path) -> None:
+def save_checkpoint(state: dict[str, np.ndarray | FrozenDigest], path) -> None:
     """Write ``state`` to ``path`` through a temporary file beside it that
     replaces ``path`` only once it is whole, so a failed or interrupted save
     leaves the old file as it was."""
@@ -174,6 +168,6 @@ def save_checkpoint(state: dict[str, tuple[np.ndarray | FrozenDigest, bool]],
         raise
 
 
-def load_checkpoint(path) -> dict[str, tuple[np.ndarray | FrozenDigest, bool]]:
+def load_checkpoint(path) -> dict[str, np.ndarray | FrozenDigest]:
     with open(path, "rb") as fh:
         return deserialize(fh.read())

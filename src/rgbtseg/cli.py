@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .config import ModelConfig, RunConfig
+from .config import ModelConfig, RunConfig, check_ignore_label
 from .data import CLASS_NAMES, gen_synthetic, load_dataset, save_dataset
 from .losses import LabelError, valid_labels
 from .model import RgbtSegModel
@@ -122,7 +122,7 @@ def cmd_train(args) -> int:
     cfg.model.num_classes = vocab.num_classes  # sizes the text-free head
     model = RgbtSegModel(cfg)
     model.decoder.check_vocab(vocab)
-    cfg.train.check_ignore_label(vocab.num_classes)
+    check_ignore_label(cfg.train.ignore_label, vocab.num_classes)
     _check_labels(samples, train_samples, vocab.num_classes, cfg.train.ignore_label)
 
     out = Path(args.out)
@@ -159,6 +159,7 @@ def cmd_eval(args) -> int:
     manifest, class_names = load_dataset(args.data)
     vocab = _resolve_vocab(args.classes, args.ckpt, class_names, cfg)
     model.decoder.check_vocab(vocab)
+    check_ignore_label(cfg.train.ignore_label, vocab.num_classes)
     samples = manifest
     if args.split:
         tagged = [s for s in manifest if s.split == args.split]

@@ -55,13 +55,14 @@ class TrainConfig:
     batch: int = 4
     seed: int = 0
 
-    def check_ignore_label(self, num_classes: int) -> None:
-        """Reject an ignore label that is one of the ``num_classes`` class
-        indices: it would silently drop that class from the loss and metric."""
-        if 0 <= self.ignore_label < num_classes:
-            raise ConfigValidationError(
-                f"ignore_label {self.ignore_label} is a class index; with "
-                f"{num_classes} classes it must lie outside [0, {num_classes})")
+
+def check_ignore_label(ignore_label: int, num_classes: int) -> None:
+    """Reject an ignore label that is one of the ``num_classes`` class indices:
+    it would silently drop that class from the loss and metric."""
+    if 0 <= ignore_label < num_classes:
+        raise ConfigValidationError(
+            f"ignore_label {ignore_label} is a class index; with "
+            f"{num_classes} classes it must lie outside [0, {num_classes})")
 
 
 _KINDS = {

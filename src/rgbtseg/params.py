@@ -18,12 +18,6 @@ class DuplicateParamError(ValueError):
     pass
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
-
-
 class ParamRegistry:
     """Ordered mapping of hierarchical parameter names to tensors.
 
@@ -66,18 +60,18 @@ class ParamRegistry:
         for _, (t, _) in self._entries.items():
             t.grad = None
 
-    def state_dict(self) -> dict[str, tuple[np.ndarray, bool]]:
-        """Every entry's array and frozen flag: a copy of a trainable array,
-        and a read-only view of a frozen one, which never changes and which a
-        checkpoint only hashes."""
-        return {n: (_read_only(t.data) if f else np.array(t.data), f)
+    def state_dict(self) -> dict[str, np.ndarray | FrozenDigest]:
+        """The records a checkpoint holds: a copy of each trainable array, and
+        the ``FrozenDigest`` of each frozen one, hashed in place (a frozen
+        tensor never changes, and a checkpoint stores only its digest)."""
+        return {n: FrozenDigest.of(t.data) if f else np.array(t.data)
                 for n, (t, f) in self._entries.items()}
 
-    def load_state(self, state: dict[str, tuple[np.ndarray | FrozenDigest, bool]]) -> None:
+    def load_state(self, state: dict[str, np.ndarray | FrozenDigest]) -> None:
         """Copy the trainable arrays of ``state`` into the registered tensors in
-        place. A frozen entry (a ``FrozenDigest``, or an array that is hashed)
-        is not copied: the registered tensor must hash to it. Every name,
-        shape, frozen flag and digest is checked before anything is copied."""
+        place; a frozen tensor must hash to its entry's ``FrozenDigest``. Every
+        name, shape, kind (a digest or an array) and digest is checked before
+        anything is copied."""
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
@@ -85,24 +79,22 @@ class ParamRegistry:
                 f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
         for name, (tensor, frozen) in self._entries.items():
-            value, stored_frozen = state[name]
+            value = state[name]
             if value.shape != tensor.data.shape:
                 raise ValueError(
                     f"shape mismatch for '{name}': {value.shape} vs {tensor.data.shape}"
                 )
-            if stored_frozen != frozen:
-                raise ValueError(f"frozen flag mismatch for '{name}'")
-            if not frozen:
-                continue
-            stored = value if isinstance(value, FrozenDigest) else FrozenDigest.of(value)
-            if FrozenDigest.of(tensor.data) != stored:
+            if isinstance(value, FrozenDigest) != frozen:
+                kind = "frozen" if frozen else "trainable"
+                raise ValueError(f"frozen flag mismatch for '{name}': {kind} in the model")
+            if frozen and FrozenDigest.of(tensor.data) != value:
                 raise ValueError(
                     f"frozen parameter '{name}' does not match the checkpoint's "
                     "SHA-256: this model regenerates other frozen weights (another "
                     "backbone_seed, or a numpy whose random stream changed)"
                 )
         for name, tensor in self.trainable():
-            tensor.data[...] = state[name][0]
+            tensor.data[...] = state[name]
 
 
 def derive_rng(seed: int, name: str) -> np.random.Generator:

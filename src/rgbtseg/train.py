@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, check_ignore_label
 from .data import RgbtSample
 from .losses import total_loss
 from .metrics import IouAccumulator
@@ -108,7 +108,7 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
     """
     if not samples:
         raise ValueError("no training samples")
-    cfg.check_ignore_label(vocab.num_classes)
+    check_ignore_label(cfg.ignore_label, vocab.num_classes)
     _keep_freed_heap()
     opt = AdamW(model.registry, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -158,7 +158,14 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
              ignore_label: int = 255) -> dict[str, SplitResult]:
     """Per-split metric tables; splits come from the samples' tags, plus an
     'overall' row aggregating everything, whose integer counts are the sum of
-    the splits'."""
+    the splits'.
+
+    Raises ``ValueError``, before the first predict, for an empty ``samples``
+    or an ignore label that is one of the vocabulary's class indices.
+    """
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    check_ignore_label(ignore_label, vocab.num_classes)
     accs: dict[str, IouAccumulator] = {}
     counts: dict[str, int] = {}
     for s in samples:

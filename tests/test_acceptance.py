@@ -141,13 +141,11 @@ def test_3_freeze_invariance(bench, vocab):
     cfg = RunConfig()
     cfg.train.steps = 50
     model = RgbtSegModel(cfg)
-    before = {name: (arr.copy(), frozen)
-              for name, (arr, frozen) in model.state_dict().items()}
+    before = {name: t.data.copy() for name, (t, _) in model.registry.items()}
     train(model, vocab, train_set, cfg.train)
-    after = model.state_dict()
 
-    frozen_ok = all(np.array_equal(before[n][0], arr)
-                    for n, (arr, frozen) in after.items() if frozen)
+    frozen_ok = all(before[n].tobytes() == t.data.tobytes()
+                    for n, t in model.registry.frozen())
     groups = {
         "thermal_embed": lambda n: n.startswith("encoder.thermal_embed"),
         "dffm": lambda n: n.startswith("encoder.dffm"),
@@ -156,8 +154,8 @@ def test_3_freeze_invariance(bench, vocab):
                                or n.startswith("decoder.head"),
     }
     changed = {
-        g: any(not np.array_equal(before[n][0], arr)
-               for n, (arr, frozen) in after.items() if not frozen and match(n))
+        g: any(not np.array_equal(before[n], t.data)
+               for n, t in model.registry.trainable() if match(n))
         for g, match in groups.items()
     }
     _report("3 freeze-invariance", frozen_ok and all(changed.values()),

@@ -1,7 +1,9 @@
 """Binary checkpoint format: round trips, typed corruption errors, version 1
-files, atomic saves and the size, load-memory and save-memory budgets."""
+files, atomic saves, the state's two kinds of entry and the size, load-memory
+and save-memory budgets."""
 
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -41,8 +43,8 @@ SAVE_PEAK_MIB_BUDGET = 2
 def _state():
     rng = np.random.default_rng(0)
     return {
-        "a.W": (rng.normal(size=(3, 4)), True),
-        "b.bias": (rng.normal(size=(5,)), False),
+        "a.W": FrozenDigest.of(rng.normal(size=(3, 4))),
+        "b.bias": rng.normal(size=(5,)),
     }
 
 
@@ -54,13 +56,13 @@ def test_round_trip_bytes_and_values(tmp_path):
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)
     assert serialize(loaded) == blob
-    for name, (arr, frozen) in state.items():
-        got, got_frozen = loaded[name]
-        assert got_frozen == frozen
-        if frozen:
-            assert got == FrozenDigest.of(arr)
+    for name, value in state.items():
+        got = loaded[name]
+        assert type(got) is type(value)
+        if isinstance(value, FrozenDigest):
+            assert got == value
         else:
-            assert got.tobytes() == arr.tobytes()
+            assert got.shape == value.shape and got.tobytes() == value.tobytes()
             assert got.flags.owndata and got.flags.writeable
 
 
@@ -95,7 +97,7 @@ def test_truncation_is_typed():
 def test_unsupported_dtype_rejected():
     for dtype in (np.int64, np.float32):
         with pytest.raises(CheckpointError, match="unsupported dtype"):
-            serialize({"x": (np.zeros(3, dtype=dtype), False)})
+            serialize({"x": np.zeros(3, dtype=dtype)})
 
 
 def test_record_dtype_code_other_than_float64_rejected():
@@ -112,31 +114,26 @@ def test_empty_state_round_trips():
 
 
 def test_a_0d_entry_round_trips_with_its_rank():
-    state = {"x": (np.array(2.0), False), "y": (np.array(-1.5), True)}
+    state = {"x": np.array(2.0), "y": FrozenDigest.of(np.array(-1.5))}
     loaded = deserialize(serialize(state))
-    assert loaded["x"][0].shape == ()
-    assert loaded["x"][0].tobytes() == state["x"][0].tobytes()
-    assert loaded["y"][0] == FrozenDigest.of(state["y"][0])
-    assert loaded["y"][0].shape == ()
+    assert loaded["x"].shape == ()
+    assert loaded["x"].tobytes() == state["x"].tobytes()
+    assert loaded["y"] == state["y"]
+    assert loaded["y"].shape == ()
 
 
 def test_frozen_flag_other_than_0_or_1_rejected():
-    body = serialize({"x": (np.zeros(3), False)})[:-4]
+    body = serialize({"x": np.zeros(3)})[:-4]
     body = body[:-25] + b"\x02" + body[-24:]
     with pytest.raises(CheckpointError, match="frozen flag 2 for 'x' is not 0 or 1"):
         deserialize(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def test_a_trainable_digest_is_not_serialized():
-    with pytest.raises(CheckpointError, match="trainable 'x' has a digest"):
-        serialize({"x": (FrozenDigest.of(np.zeros(3)), False)})
-
-
-def _serialize_v1(state):
+def _serialize_v1(registry):
     """Version 1 as it was written: every record holds its raw data."""
-    out = [b"TSEG", struct.pack("<II", 1, len(state))]
-    for name, (arr, frozen) in state.items():
-        nb = name.encode()
+    out = [b"TSEG", struct.pack("<II", 1, len(registry.items()))]
+    for name, (tensor, frozen) in registry.items():
+        arr, nb = tensor.data, name.encode()
         out += [struct.pack("<I", len(nb)), nb,
                 struct.pack(f"<BB{arr.ndim}IB", 0, arr.ndim, *arr.shape, frozen),
                 arr.astype("<f8").tobytes()]
@@ -173,7 +170,7 @@ def test_every_config_loads_back_with_bitwise_equal_logits(tmp_path, config):
 
 def test_a_version_1_file_loads_into_the_same_model():
     saved = _trained_model(RunConfig())
-    blob = _serialize_v1(saved.state_dict())
+    blob = _serialize_v1(saved.registry)
     state = deserialize(blob)
     # a v1 frozen record comes back as the digest a v2 file stores
     assert serialize(state) == serialize(saved.state_dict())
@@ -184,14 +181,11 @@ def test_a_version_1_file_loads_into_the_same_model():
 
 def test_a_version_1_file_with_other_frozen_data_is_refused():
     saved = RgbtSegModel(RunConfig())
-    state = saved.state_dict()
-    name = next(n for n, (_, frozen) in state.items() if frozen)
-    other = state[name][0].copy()
-    other.flat[0] += 1.0
-    state[name] = (other, True)
+    name, tensor = saved.registry.frozen()[0]
+    tensor.data.flat[0] += 1.0
     restored = RgbtSegModel(RunConfig())
     with pytest.raises(ValueError, match=f"frozen parameter '{name}' does not match"):
-        restored.load_state(deserialize(_serialize_v1(state)))
+        restored.load_state(deserialize(_serialize_v1(saved.registry)))
 
 
 @pytest.mark.parametrize("fail", ["serialize", "write"])
@@ -211,7 +205,7 @@ def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch, fail):
     else:
         monkeypatch.setattr(os, "fsync", disk_full)
     with pytest.raises((KeyboardInterrupt, OSError)):
-        save_checkpoint({"c": (np.ones(7), False)}, path)
+        save_checkpoint({"c": np.ones(7)}, path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
 
@@ -242,9 +236,28 @@ def test_saving_the_default_checkpoint_stays_within_the_memory_budget(tmp_path,
     assert mem.peak <= SAVE_PEAK_MIB_BUDGET * 2**20, f"{mem.peak / 2**20:.1f} MiB"
 
 
-def test_a_state_dict_copies_trainable_arrays_and_views_frozen_ones():
+def test_a_state_dict_copies_trainable_arrays_and_digests_frozen_ones():
     model = RgbtSegModel(RunConfig())
-    for name, (arr, frozen) in model.state_dict().items():
+    for name, value in model.state_dict().items():
         data = model.registry.get(name).data
-        assert np.shares_memory(arr, data) == frozen, name
-        assert arr.flags.writeable != frozen, name
+        if model.registry.is_frozen(name):
+            assert value == FrozenDigest.of(data), name
+        else:
+            assert not np.shares_memory(value, data), name
+            assert value.tobytes() == data.tobytes(), name
+
+
+@pytest.mark.parametrize("entry", ["digest_for_trainable", "array_for_frozen"])
+def test_load_state_refuses_an_entry_of_the_other_kind_and_copies_nothing(entry):
+    state = _trained_model(RunConfig()).state_dict()
+    model = RgbtSegModel(RunConfig())
+    if entry == "digest_for_trainable":
+        name, tensor = model.registry.trainable()[-1]
+        state[name] = FrozenDigest.of(state[name])
+    else:
+        name, tensor = model.registry.frozen()[-1]
+        state[name] = tensor.data.copy()
+    before = {n: t.data.tobytes() for n, (t, _) in model.registry.items()}
+    with pytest.raises(ValueError, match=f"frozen flag mismatch for '{re.escape(name)}'"):
+        model.load_state(state)
+    assert {n: t.data.tobytes() for n, (t, _) in model.registry.items()} == before

@@ -76,12 +76,12 @@ def test_train_zero_steps_equals_init(tmp_path, dataset):
     state = load_checkpoint(out / "checkpoint.tseg")
     fresh = RgbtSegModel(RunConfig()).state_dict()
     assert set(state) == set(fresh)
-    for name, (value, frozen) in state.items():
-        assert frozen == fresh[name][1]
-        if frozen:
-            assert value == FrozenDigest.of(fresh[name][0])
+    for name, value in state.items():
+        assert type(value) is type(fresh[name])
+        if isinstance(value, FrozenDigest):
+            assert value == fresh[name]
         else:
-            assert value.tobytes() == fresh[name][0].tobytes()
+            assert value.tobytes() == fresh[name].tobytes()
 
 
 def test_eval_deterministic(short_run, dataset, tmp_path):
@@ -148,7 +148,8 @@ def _flipped_digest(run, tmp_path):
     """A copy of the run's checkpoint with one byte of the last frozen
     record's digest flipped and the checksum recomputed."""
     blob = (run / "checkpoint.tseg").read_bytes()
-    name = [n for n, (_, f) in load_checkpoint(run / "checkpoint.tseg").items() if f][-1]
+    name = [n for n, v in load_checkpoint(run / "checkpoint.tseg").items()
+            if isinstance(v, FrozenDigest)][-1]
     nb = name.encode()
     header = blob.index(struct.pack("<I", len(nb)) + nb) + 4 + len(nb)
     digest = header + 2 + 4 * blob[header + 1] + 1  # dtype, ndim, dims, frozen
@@ -547,6 +548,47 @@ def test_eval_refuses_a_label_outside_the_classes_before_predicting(
     assert not out.exists()
 
 
+def test_eval_refuses_an_ignore_label_that_is_a_class_index_before_any_output(
+        short_run, dataset, tmp_path, capsys):
+    """Trained with ``ignore_label`` 4 and 4 classes, evaluated with a fifth
+    class: label 4 would be dropped from the fifth class's ground truth. The
+    refusal comes before the warning for a split no sample is tagged with."""
+    cfg = RunConfig.from_json_file(short_run / "config.json")
+    cfg.train.ignore_label = 4
+    config = tmp_path / "ignore_4.json"
+    config.write_text(cfg.to_json())
+    classes = tmp_path / "classes.json"
+    save_text_embeddings(classes, ClassVocabulary.from_names(
+        ["a", "b", "c", "d", "extra"], cfg.model.d_t))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
+                     "--data", str(dataset), "--config", str(config),
+                     "--classes", str(classes), "--split", "absent",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: ignore_label 4 is a class index; with 5 classes it must lie "
+            "outside [0, 5)\n")
+    assert not out.exists()
+
+
+def test_eval_on_an_empty_manifest_exits_2_naming_the_cause(short_run, tmp_path, capsys):
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"classes": ["a", "b"],
+                                                    "samples": []}))
+    capsys.readouterr()
+    assert cli.main(_eval(short_run / "checkpoint.tseg", data, tmp_path)) == 2
+    assert capsys.readouterr() == ("", "error: no samples to evaluate\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["gen-data", "--out", "ds"], ["gradcheck"]],
+                         ids=["gen_data", "gradcheck"])
+def test_seed_0_is_a_valid_seed(argv):
+    assert cli.build_parser().parse_args([*argv, "--seed", "0"]).seed == 0
+
+
 def _empty_image_pair(tmp_path):
     """``--rgb``/``--thermal`` of a 0x0 PPM/PGM pair: headers, no pixels."""
     (tmp_path / "e.ppm").write_bytes(b"P6\n0 0\n255\n")
@@ -563,7 +605,7 @@ def _file(tmp_path, name, content: bytes):
 def _checkpoint(tmp_path, edit):
     """A one-record checkpoint whose body is edited by ``edit`` and then given
     a valid checksum, so that only the record structure is wrong."""
-    body = edit(serialize({"x": (np.zeros(3), False)})[:-4])
+    body = edit(serialize({"x": np.zeros(3)})[:-4])
     return _file(tmp_path, "edited.tseg", body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -673,21 +715,27 @@ def test_bad_input_exits_2_with_one_line(short_run, dataset, tmp_path, capsys,
     assert out == ""
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(classes=[5]),
-    lambda doc: doc.update(dim=None),
-    lambda doc: doc.update(classes=5),
-    lambda doc: doc["classes"][0].update(embedding=3),
-    lambda doc: doc["classes"][0]["embedding"].__setitem__(0, {}),
-    lambda doc: doc["classes"][0]["embedding"].__setitem__(0, float("nan")),
-    lambda doc: doc.pop("dim"),
-    lambda doc: doc.update(classes=[]),
-    lambda doc: doc["classes"].append(doc["classes"][0]),
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(classes=[5]), "bad class entry: 5"),
+    (lambda doc: doc.update(dim=None),
+     "embedding 'dim' must be a positive integer, got None"),
+    (lambda doc: doc.update(classes=5), "embedding 'classes' must be a list"),
+    (lambda doc: doc["classes"][0].update(embedding=3),
+     "bad class entry: {'name': 'background', 'embedding': 3}"),
+    (lambda doc: doc["classes"][0]["embedding"].__setitem__(0, {}),
+     "class 'background' embedding is not a list of numbers"),
+    (lambda doc: doc["classes"][0]["embedding"].__setitem__(0, float("nan")),
+     "class 'background' has a zero or non-finite embedding"),
+    (lambda doc: doc.pop("dim"), "embedding file needs 'dim' and 'classes' fields"),
+    (lambda doc: doc.update(classes=[]), "embedding file lists no classes"),
+    (lambda doc: doc["classes"].append(doc["classes"][0]),
+     "duplicate class name 'background'"),
+    (lambda doc: doc.update(dim=0), "embedding 'dim' must be a positive integer, got 0"),
 ], ids=["entry_not_object", "dim_null", "classes_not_list", "embedding_not_list",
         "embedding_item_not_number", "embedding_nan", "dim_missing", "classes_empty",
-        "name_duplicate"])
+        "name_duplicate", "dim_zero"])
 def test_malformed_classes_file_exits_2_with_one_line(short_run, dataset, tmp_path,
-                                                      capsys, edit):
+                                                      capsys, edit, message):
     doc = json.loads((short_run / "classes.json").read_text())
     edit(doc)
     classes = tmp_path / "classes.json"
@@ -696,9 +744,7 @@ def test_malformed_classes_file_exits_2_with_one_line(short_run, dataset, tmp_pa
     assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
                      "--data", str(dataset), "--classes", str(classes),
                      "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["infer", "eval"])
@@ -709,9 +755,9 @@ def test_nan_parameter_exits_3_naming_the_op(short_run, dataset, tmp_path, capsy
     for name in ("config.json", "classes.json"):
         (run / name).write_bytes((short_run / name).read_bytes())
     state = load_checkpoint(short_run / "checkpoint.tseg")
-    name = next(n for n, (_, frozen) in state.items()
-                if n.startswith("encoder.") and not frozen)
-    state[name][0].flat[0] = np.nan
+    name = next(n for n, v in state.items()
+                if n.startswith("encoder.") and isinstance(v, np.ndarray))
+    state[name].flat[0] = np.nan
     save_checkpoint(state, run / "checkpoint.tseg")
     args = {"infer": ["--rgb", str(dataset / "sample_0000_rgb.ppm"),
                       "--thermal", str(dataset / "sample_0000_th.pgm"),

@@ -8,7 +8,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rgbtseg.config import ConfigValidationError, ModelConfig, RunConfig, TrainConfig
+from rgbtseg.config import (ConfigValidationError, ModelConfig, RunConfig, TrainConfig,
+                            check_ignore_label)
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary
 
@@ -73,4 +74,4 @@ def test_the_least_dimensions_the_gate_loads_build_and_run_a_model():
 
 @pytest.mark.parametrize("ignore_label", [-1, 4])
 def test_an_ignore_label_just_outside_the_class_range_loads(ignore_label):
-    TrainConfig(ignore_label=ignore_label).check_ignore_label(4)
+    check_ignore_label(ignore_label, 4)

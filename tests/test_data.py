@@ -132,6 +132,6 @@ def test_training_on_loaded_samples_equals_training_on_float_copies(tmp_path):
         model = RgbtSegModel(cfg)
         vocab = ClassVocabulary.from_names(names, cfg.model.d_t, cfg.backbone_seed)
         train(model, vocab, samples, cfg.train)
-        states.append(model.state_dict())
-    for name, (arr, _) in states[0].items():
-        assert arr.tobytes() == states[1][name][0].tobytes(), name
+        states.append({n: t.data.tobytes() for n, (t, _) in model.registry.items()})
+    for name, data in states[0].items():
+        assert data == states[1][name], name

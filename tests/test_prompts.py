@@ -69,6 +69,20 @@ def test_point_encoding_shapes_and_bounds():
         enc.encode_points(PointPrompt([(1.0, 1.0, 2)]), (64, 64))
 
 
+# a 64-wide, 48-high image: its first and last column and row, and just past them
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (63.0, 0.0), (0.0, 47.0), (63.0, 47.0)])
+def test_a_point_on_the_first_or_last_row_or_column_is_accepted(x, y):
+    enc = PromptEncoder(ParamRegistry(), 64, seed=0)
+    assert enc.encode_points(PointPrompt([(x, y, 1)]), (48, 64)).shape == (1, 64)
+
+
+@pytest.mark.parametrize("x, y", [(64.0, 0.0), (0.0, 48.0), (-1.0, 0.0), (0.0, -1.0)])
+def test_a_point_just_outside_the_image_is_refused(x, y):
+    enc = PromptEncoder(ParamRegistry(), 64, seed=0)
+    with pytest.raises(PointError, match=fr"point \({x}, {y}\) outside image 64x48"):
+        enc.encode_points(PointPrompt([(x, y, 1)]), (48, 64))
+
+
 def test_prompt_encoder_param_freezing(default_cfg):
     reg = RgbtSegModel(default_cfg).registry
     assert reg.is_frozen("prompt.fourier")

@@ -27,8 +27,8 @@ def digests() -> dict[str, str]:
     vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
     samples = gen_synthetic(8, (64, 64), seed=9)
     train(model, vocab, samples, cfg.train)
-    out = {name: hashlib.sha256(arr.tobytes()).hexdigest()
-           for name, (arr, _) in model.state_dict().items()}
+    out = {name: hashlib.sha256(t.data.tobytes()).hexdigest()
+           for name, (t, _) in model.registry.items()}
     labels = model.predict(samples[0].rgb, samples[0].thermal, vocab)
     out[LABELS] = hashlib.sha256(labels.tobytes()).hexdigest()
     return out

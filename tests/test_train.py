@@ -224,6 +224,23 @@ def test_ignore_label_inside_the_class_range_is_rejected(ignore):
         train_mod.train(model, vocab, samples, cfg.train)
 
 
+def test_evaluate_refuses_an_empty_sample_list():
+    _, model, vocab, _ = _setup()
+    with pytest.raises(ValueError, match="no samples to evaluate"):
+        train_mod.evaluate(model, vocab, [])
+
+
+@pytest.mark.parametrize("ignore", [0, 3])
+def test_evaluate_refuses_an_ignore_label_inside_the_class_range_before_predicting(
+        monkeypatch, ignore):
+    _, model, vocab, samples = _setup()
+    predicted = []
+    monkeypatch.setattr(RgbtSegModel, "predict", lambda *a, **k: predicted.append(a))
+    with pytest.raises(ConfigValidationError, match=f"ignore_label {ignore} is a class"):
+        train_mod.evaluate(model, vocab, samples, ignore)
+    assert predicted == []
+
+
 def test_evaluate_scores_the_overall_row_over_every_sample_once(monkeypatch):
     """The overall row sums the splits' integer counts: each image is counted
     once, and the row equals, bitwise, one accumulation over every sample."""
