@@ -113,11 +113,8 @@ def cmd_train(args) -> int:
     samples, class_names = load_dataset(args.data)
     if not samples:  # before anything is written to --out
         raise UsageError("no training samples")
-    train_samples = [s for s in samples if s.split == "train"]
-    if not train_samples:
-        print("warning: no samples tagged 'train'; training on all samples",
-              file=sys.stderr)
-        train_samples = samples
+    tagged = [s for s in samples if s.split == "train"]
+    train_samples = tagged or samples
     vocab = _resolve_vocab(args.classes, None, class_names, cfg)
     cfg.model.num_classes = vocab.num_classes  # sizes the text-free head
     model = RgbtSegModel(cfg)
@@ -133,6 +130,9 @@ def cmd_train(args) -> int:
             if rec.step % 20 == 0 or rec.step == cfg.train.steps - 1:
                 print(f"step {rec.step:>5d}  loss {rec.loss:.4f}  miou {rec.miou:.4f}")
 
+        if not tagged:  # only once no refusal can follow
+            print("warning: no samples tagged 'train'; training on all samples",
+                  file=sys.stderr)
         train(model, vocab, train_samples, cfg.train, log_fn)
     ckpt_io.save_checkpoint(model.state_dict(), out / "checkpoint.tseg")
     (out / "config.json").write_text(cfg.to_json())
@@ -160,14 +160,8 @@ def cmd_eval(args) -> int:
     vocab = _resolve_vocab(args.classes, args.ckpt, class_names, cfg)
     model.decoder.check_vocab(vocab)
     check_ignore_label(cfg.train.ignore_label, vocab.num_classes)
-    samples = manifest
-    if args.split:
-        tagged = [s for s in manifest if s.split == args.split]
-        if not tagged:
-            print(f"warning: no samples tagged '{args.split}'; "
-                  "evaluating every sample", file=sys.stderr)
-        else:
-            samples = tagged
+    tagged = [s for s in manifest if s.split == args.split] if args.split else manifest
+    samples = tagged or manifest
     _check_labels(manifest, samples, vocab.num_classes, cfg.train.ignore_label)
     results = evaluate(model, vocab, samples, cfg.train.ignore_label)
 
@@ -188,6 +182,9 @@ def cmd_eval(args) -> int:
         }
     # write first, so a failed write leaves no table on stdout
     Path(args.out).write_text(json.dumps(doc, indent=1))
+    if not tagged:  # past every refusal; without --split, tagged is every sample
+        print(f"warning: no samples tagged '{args.split}'; "
+              "evaluating every sample", file=sys.stderr)
     print("\n".join(lines))
     return 0
 

@@ -27,9 +27,10 @@ at the end. With the text path disabled a plain per-class linear head replaces
 the similarity head (class-permutation equivariance then no longer applies).
 "Frozen" describes the model, which freezes by name (``params.ledger_group``).
 
-Image-side tensors keep the encoder output's leading batch axes. The token
-stack, the positional grid and the class text rows have none: they are shared
-by every image of a batch and broadcast against it.
+Image features are the encoder's tokens [..., Hp·Wp, d] up to the two-way
+transformer's end, grids [..., H, W, ·] from upscaling on, and keep its leading
+batch axes. The token stack, positional tokens and class text rows have none:
+they are shared by every image of a batch and broadcast against it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (ConvTranspose2x2, LayerNorm, Linear, Mlp,
-                     MultiHeadAttention, bilinear_resize, grid_to_tokens,
-                     tokens_to_grid)
+                     MultiHeadAttention, bilinear_resize, tokens_to_grid)
 from .params import ParamRegistry, derive_rng
 from .prompts import ClassVocabulary, PointPrompt, PromptEncoder
 from .tensor import ShapeError, Tensor
@@ -131,13 +131,14 @@ class MaskDecoder:
 
     # -- stages ----------------------------------------------------------------
 
-    def two_way_transformer(self, e_en: Tensor, sparse: Tensor) -> Tensor:
-        """The refined image grid [..., Hp, Wp, d] from the encoder output
-        ``e_en`` plus the dense embedding, with the positional grid on the
-        image side and the [iou, mask..., sparse...] token stack."""
-        hp, wp, _ = e_en.shape[-3:]
-        img = grid_to_tokens(e_en + self.prompt_encoder.dense)
-        pe = grid_to_tokens(self.prompt_encoder.positional_grid(hp, wp))
+    def two_way_transformer(self, e_en: Tensor, sparse: Tensor, grid) -> Tensor:
+        """The refined image grid [..., Hp, Wp, d] for ``grid`` = (Hp, Wp): every
+        layer refines the encoder's tokens ``e_en`` [..., Hp·Wp, d] plus the dense
+        embedding, with positional tokens, against the [iou, mask..., sparse...]
+        token stack, and the last layer's tokens are made into the grid."""
+        hp, wp = grid
+        img = e_en + self.prompt_encoder.dense
+        pe = self.prompt_encoder.positional_grid(hp, wp)
         tokens = T.concat([self.iou_token, self.mask_tokens, sparse], axis=0)
         for layer in self.layers:
             tokens, img = layer(tokens, img, pe)
@@ -207,9 +208,10 @@ class MaskDecoder:
         order, once ``check_vocab`` passes. Each stage looks its method up when
         it runs."""
         self.check_vocab(vocab)
+        grid = (size[0] // self.cfg.patch, size[1] // self.cfg.patch)
         return [(("decoder.twoway.", "decoder.tokens.", "prompt."),
                  lambda e: self.two_way_transformer(
-                     e, self.prompt_encoder.encode_points(points, size))),
+                     e, self.prompt_encoder.encode_points(points, size), grid)),
                 (("decoder.upscale.",), lambda e: self.upscale_masks(e)),
                 (("decoder.text_attn.", "decoder.head."),
                  lambda e: self.classify(e, vocab, size))]

@@ -2,9 +2,9 @@
 
 A frozen RGB patch embedding and a trainable thermal patch embedding feed a
 stack of N (fusion block, frozen transformer block with LoRA Q/V) pairs. Two
-patch grids are threaded through the stack: the fusion stream, which starts
-as the thermal embedding, and the backbone stream, which starts as the RGB
-embedding. Each fusion block projects both streams through 1x1 convs, gates
+token sequences are threaded through the stack: the fusion stream, which
+starts as the thermal embedding, and the backbone stream, which starts as the
+RGB embedding. Each fusion block projects both streams through 1x1 convs, gates
 the backbone stream with squeeze-and-excitation, and re-projects through a
 zero-initialized output conv - so at initialization the encoder computes
 exactly the frozen RGB-only backbone function, bitwise independent of the
@@ -16,8 +16,9 @@ the first (RGB-position) half of the output tokens forms the image embedding,
 so thermal information reaches it only through the (frozen, low-rank-adapted)
 attention - there is no dedicated trainable fusion path.
 
-Images are [..., H, W, c]; every grid and token sequence keeps the images'
-leading batch axes. "Frozen" describes the model, which freezes by name
+Images are [..., H, W, c] grids; from the patch embeddings to the output,
+features are token sequences [..., Hp·Wp, d] that keep the images' leading
+batch axes. "Frozen" describes the model, which freezes by name
 (``params.ledger_group``); an encoder built alone has no frozen parameter.
 """
 
@@ -26,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .layers import (Linear, PatchEmbed, SEBlock, TransformerBlock,
-                     grid_to_tokens, tokens_to_grid)
+from .layers import Linear, PatchEmbed, SEBlock, TransformerBlock
 from .params import ParamRegistry, derive_rng
 from .tensor import ShapeError, Tensor
 
@@ -35,8 +35,9 @@ from .tensor import ShapeError, Tensor
 class DffmBlock:
     """Dynamic feature fusion: conv_out(conv_prev(f_dffm) + SE(conv_tb(f_tb))).
 
-    All 1x1 convs act on the patch grid. conv_out starts at exactly zero
-    (weights and bias) so the block contributes nothing before training.
+    All 1x1 convs act per token of the two streams' token sequences, and SE
+    squeezes over the tokens. conv_out starts at exactly zero (weights and
+    bias) so the block contributes nothing before training.
     """
 
     # Gain on the trainable fusion convs: the zero conv_out means the fusion
@@ -85,7 +86,7 @@ class RgbtEncoder:
             ]
 
     def forward(self, rgb: Tensor, th: Tensor) -> Tensor:
-        """Run the full encoder; returns the image embedding grid [..., Hp, Wp, d]."""
+        """Run the full encoder; returns the image embedding tokens [..., Hp·Wp, d]."""
         if rgb.shape[:-1] != th.shape[:-1]:
             raise ShapeError(f"rgb {rgb.shape[:-1]} and thermal {th.shape[:-1]} "
                              "differ in batch or pixel axes")
@@ -97,8 +98,8 @@ class RgbtEncoder:
     def stages(self, size: tuple[int, int]) -> list:
         """The encoder on images of pixel size ``size``: (the parameter-name
         prefixes the stage is first to read, a function from its input to the
-        next stage's) from (rgb, thermal) to the image embedding grid."""
-        hp, wp = size[0] // self.cfg.patch, size[1] // self.cfg.patch
+        next stage's) from (rgb, thermal) to the image embedding tokens."""
+        n = (size[0] // self.cfg.patch) * (size[1] // self.cfg.patch)
         last = len(self.blocks) - 1
         if self.cfg.enable_dffm:
             def embed(x):
@@ -107,17 +108,15 @@ class RgbtEncoder:
             def stage(i, x):
                 f_dffm, f_tb = x
                 f_dffm = self.dffm[i](f_dffm, f_tb)
-                f_tb = tokens_to_grid(self.blocks[i](grid_to_tokens(f_tb + f_dffm)),
-                                      hp, wp)
+                f_tb = self.blocks[i](f_tb + f_dffm)
                 return f_tb if i == last else (f_dffm, f_tb)
         else:
             def embed(x):
-                return T.concat([grid_to_tokens(self.rgb_embed(x[0])),
-                                 grid_to_tokens(self.thermal_embed(x[1]))], axis=-2)
+                return T.concat([self.rgb_embed(x[0]), self.thermal_embed(x[1])], axis=-2)
 
             def stage(i, tokens):  # the last keeps the RGB-position tokens
                 out = self.blocks[i](tokens)
-                return out if i < last else tokens_to_grid(out[..., :hp * wp, :], hp, wp)
+                return out if i < last else out[..., :n, :]
         # the baseline has no encoder.dffm parameters
         return [(("encoder.thermal_embed.", "encoder.rgb_embed."), embed),
                 *[((f"encoder.dffm.{i}.", f"encoder.blocks.{i}."),

@@ -3,8 +3,9 @@ patch embedding, transformer blocks, 2x2 transposed conv, bilinear resize.
 
 Layers register their parameters into a ParamRegistry at construction under a
 hierarchical name prefix, all trainable: ``params.ledger_group`` decides what
-the model freezes. Feature maps are Tensors shaped [..., H, W, d];
-token sequences are [..., n, d]; grid<->token reshapes are bit-exact. Every
+the model freezes. ``PatchEmbed`` makes images into token sequences
+[..., Hp·Wp, d]; only the layers that work on pixel positions
+(``ConvTranspose2x2``, ``bilinear_resize``) take grids [..., H, W, d]. Every
 layer takes any number of leading batch axes, and a call without one is the
 zero-leading-axes case of the same code. No constructor re-checks its
 dimensions: ``RunConfig.validate`` holds those rules, and the model runs it
@@ -23,15 +24,9 @@ from .params import ParamRegistry
 from .tensor import ShapeError, Tensor
 
 
-def grid_to_tokens(x: Tensor) -> Tensor:
-    *lead, h, w, d = x.shape
-    return x.reshape(*lead, h * w, d)
-
-
 def tokens_to_grid(x: Tensor, h: int, w: int) -> Tensor:
-    *lead, n, d = x.shape
-    if n != h * w:
-        raise ShapeError(f"cannot reshape {n} tokens to {h}x{w} grid")
+    """Row-major tokens [..., h·w, d] as the grid [..., h, w, d]."""
+    *lead, _, d = x.shape
     return x.reshape(*lead, h, w, d)
 
 
@@ -106,8 +101,8 @@ class MultiHeadAttention:
 
 
 class SEBlock:
-    """Squeeze-and-excitation channel gating over a [..., H, W, d] feature
-    map; each map is squeezed over its own H and W."""
+    """Squeeze-and-excitation channel gating over a [..., n, d] token
+    sequence; each sequence is squeezed over its own n tokens."""
 
     def __init__(self, reg: ParamRegistry, name: str, d: int, reduction: int,
                  rng: np.random.Generator, init_gain: float = 1.0):
@@ -116,14 +111,13 @@ class SEBlock:
         self.fc2 = Linear(reg, f"{name}.fc2", hidden, d, rng, init_gain)
 
     def __call__(self, x: Tensor) -> Tensor:
-        *lead, h, w, d = x.shape
-        squeeze = x.reshape(*lead, h * w, d).mean(axis=-2)
-        gate = T.sigmoid(self.fc2(T.relu(self.fc1(squeeze))))
-        return x * gate.reshape(*lead, 1, 1, d)
+        squeeze = x.mean(axis=-2, keepdims=True)
+        return x * T.sigmoid(self.fc2(T.relu(self.fc1(squeeze))))
 
 
 class PatchEmbed(Linear):
-    """Non-overlapping patchify + linear projection to a token grid.
+    """Non-overlapping patchify + linear projection: an image [..., H, W, c]
+    to tokens [..., Hp·Wp, d], patch (i, j) at token i·Wp + j.
 
     Each p x p x c patch is flattened row-major (row, col, channel) before
     projection; checkpoint portability depends on this order.
@@ -143,7 +137,7 @@ class PatchEmbed(Linear):
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         hp, wp = h // p, w // p
         x = _permute_trailing(img.reshape(*lead, hp, p, wp, p, c), 0, 2, 1, 3, 4)
-        return super().__call__(x.reshape(*lead, hp, wp, p * p * c))
+        return super().__call__(x.reshape(*lead, hp * wp, p * p * c))
 
 
 class Mlp:

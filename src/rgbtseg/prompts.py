@@ -174,8 +174,9 @@ class PromptEncoder:
         return Tensor(pos) + self.point_labels[np.asarray(labels, dtype=np.intp)]
 
     def positional_grid(self, hp: int, wp: int) -> Tensor:
-        """Frozen positional encoding grid [hp, wp, d] at patch centers."""
+        """Frozen positional encoding at the centers of an hp x wp patch grid,
+        as the grid's row-major tokens [hp·wp, d]."""
         ys = (np.arange(hp) + 0.5) / hp
         xs = (np.arange(wp) + 0.5) / wp
         coords = np.stack(np.meshgrid(xs, ys, indexing="xy"), axis=-1)  # [hp, wp, 2]
-        return Tensor(self._fourier_encode(coords.reshape(-1, 2)).reshape(hp, wp, self.d))
+        return Tensor(self._fourier_encode(coords.reshape(-1, 2)))

@@ -93,7 +93,8 @@ def _gradient_error(registry: ParamRegistry) -> str | None:
 
 def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample],
           cfg: TrainConfig, log_fn=None) -> list[StepRecord]:
-    """Seeded training run; returns one record per step (loss, batch mIoU).
+    """Seeded training run; returns one record per step (loss, batch mIoU,
+    NaN for a batch whose every pixel is ignored).
 
     Batches are drawn by epoch-wise seeded shuffles. Each step runs its
     forward and loss through ``tensor.checked``, keeping the tape, then
@@ -138,7 +139,8 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         opt.step()
         opt.zero_grad()
 
-        rec = StepRecord(step=step, loss=loss.item(), miou=acc.miou())
+        miou = acc.miou() if acc.counts.any() else math.nan  # all ignored
+        rec = StepRecord(step=step, loss=loss.item(), miou=miou)
         history.append(rec)
         if log_fn is not None:
             log_fn(rec)
@@ -160,11 +162,15 @@ def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
     'overall' row aggregating everything, whose integer counts are the sum of
     the splits'.
 
-    Raises ``ValueError``, before the first predict, for an empty ``samples``
-    or an ignore label that is one of the vocabulary's class indices.
+    Raises ``ValueError``, before the first predict, for an empty ``samples``,
+    a sample tagged 'overall' (that row would overwrite its split's) or an
+    ignore label that is one of the vocabulary's class indices.
     """
     if not samples:
         raise ValueError("no samples to evaluate")
+    if any(s.split == "overall" for s in samples):
+        raise ValueError("split tag 'overall' is reserved for the row over all "
+                         "splits; retag those samples")
     check_ignore_label(ignore_label, vocab.num_classes)
     accs: dict[str, IouAccumulator] = {}
     counts: dict[str, int] = {}

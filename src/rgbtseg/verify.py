@@ -125,7 +125,7 @@ def op_checks(seed: int = 0, tol: float = 1e-4):
 
         reg, lrng = fresh()
         se = SEBlock(reg, "se", d, 4, lrng)
-        g = _rand(srng, 3, 3, d)
+        g = _rand(srng, 9, d)  # a 3x3 grid's tokens
         yield check(f"se_block[{si}]", _scalarizer(srng, se, g), g,
                     se.fc1.W, se.fc2.W)
 

@@ -142,7 +142,7 @@ def test_forward_rejects_mismatched_leading_dims():
 
 def test_se_block_squeezes_each_image_separately(rng):
     se = SEBlock(ParamRegistry(), "se", 8, 4, rng)
-    x = rng.normal(size=(2, 5, 5, 8))
+    x = rng.normal(size=(2, 5 * 5, 8))
     batched = se(Tensor(x)).data
     for i in range(2):
         assert np.allclose(batched[i], se(Tensor(x[i])).data, rtol=0, atol=1e-13)
@@ -169,7 +169,7 @@ def test_gradcheck_batched_attention_with_shared_query(rng):
 def test_gradcheck_batched_patch_embed(rng):
     pe = PatchEmbed(ParamRegistry(), "pe", 2, 1, 6, rng)
     img = Tensor(rng.normal(size=(2, 4, 4, 1)))
-    _check(_weighted(lambda: pe(img), (2, 2, 2, 6), rng), img, pe.W, pe.b)
+    _check(_weighted(lambda: pe(img), (2, 2 * 2, 6), rng), img, pe.W, pe.b)
 
 
 def test_gradcheck_batched_conv_transpose(rng):
@@ -185,8 +185,8 @@ def test_gradcheck_batched_bilinear_resize(rng):
 
 def test_gradcheck_batched_se_block(rng):
     se = SEBlock(ParamRegistry(), "se", 8, 4, rng)
-    x = Tensor(rng.normal(size=(2, 3, 3, 8)))
-    _check(_weighted(lambda: se(x), (2, 3, 3, 8), rng), x, se.fc1.W, se.fc2.W)
+    x = Tensor(rng.normal(size=(2, 3 * 3, 8)))
+    _check(_weighted(lambda: se(x), (2, 3 * 3, 8), rng), x, se.fc1.W, se.fc2.W)
 
 
 def test_gradcheck_batched_total_loss(rng):

@@ -204,6 +204,34 @@ def test_train_without_train_split_warns(tmp_path, capsys):
     assert err == "warning: no samples tagged 'train'; training on all samples\n"
 
 
+def test_train_refusal_without_train_split_is_one_line(tmp_path, capsys):
+    """A refusal after the fallback to every sample prints no warning."""
+    data = tmp_path / "ds"
+    assert cli.main(["gen-data", "--out", str(data), "--n", "1",
+                     "--split", "test"]) == 0
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(out),
+                     "--classes", _three_class_vocab(tmp_path), "--steps", "1"]) == 2
+    assert capsys.readouterr().err == ("error: manifest sample 0: labels must lie in "
+                                       "[0, 3) or equal ignore=255; found 0..3\n")
+    assert not out.exists()
+
+
+def test_train_on_a_manifest_whose_pixels_are_all_ignored_logs_nan_miou(tmp_path):
+    data = tmp_path / "ds"
+    assert cli.main(["gen-data", "--out", str(data), "--n", "2", "--size", "32"]) == 0
+    for path in data.glob("*_label.pgm"):
+        write_pgm(path, np.full_like(read_pgm(path), 255))
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="every pixel of an image is ignored"):
+        assert cli.main(["train", "--data", str(data), "--out", str(out),
+                         "--steps", "2"]) == 0
+    assert [line.split("\t")[2] for line in
+            (out / "metrics.tsv").read_text().splitlines()] == ["nan", "nan"]
+    assert (out / "checkpoint.tseg").exists()
+
+
 def test_infer_deterministic_and_in_range(short_run, dataset, tmp_path):
     rgb = str(dataset / "sample_0000_rgb.ppm")
     th = str(dataset / "sample_0000_th.pgm")
@@ -572,14 +600,44 @@ def test_eval_refuses_an_ignore_label_that_is_a_class_index_before_any_output(
     assert not out.exists()
 
 
-def test_eval_on_an_empty_manifest_exits_2_naming_the_cause(short_run, tmp_path, capsys):
+def _empty_manifest(tmp_path):
     data = tmp_path / "ds"
     data.mkdir()
     (data / "manifest.json").write_text(json.dumps({"classes": ["a", "b"],
                                                     "samples": []}))
+    return data
+
+
+def test_eval_on_an_empty_manifest_exits_2_naming_the_cause(short_run, tmp_path, capsys):
+    data = _empty_manifest(tmp_path)
     capsys.readouterr()
     assert cli.main(_eval(short_run / "checkpoint.tseg", data, tmp_path)) == 2
     assert capsys.readouterr() == ("", "error: no samples to evaluate\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_split_refusal_on_an_empty_manifest_is_one_line(short_run, tmp_path, capsys):
+    """The refusal comes without the warning for a split no sample is tagged
+    with."""
+    data = _empty_manifest(tmp_path)
+    capsys.readouterr()
+    assert cli.main([*_eval(short_run / "checkpoint.tseg", data, tmp_path),
+                     "--split", "test"]) == 2
+    assert capsys.readouterr() == ("", "error: no samples to evaluate\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_refuses_a_split_tagged_overall_with_one_line(short_run, dataset, tmp_path,
+                                                           capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["samples"][0]["split"] = "overall"
+    (data / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(_eval(short_run / "checkpoint.tseg", data, tmp_path)) == 2
+    assert capsys.readouterr() == ("", "error: split tag 'overall' is reserved for "
+                                       "the row over all splits; retag those samples\n")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -20,10 +20,11 @@ def _encoder(**flags):
 
 
 def test_output_grid_shape(rng):
+    """The embedding of an 8x8 patch grid: 64 tokens of width d."""
     enc, _ = _encoder()
     out = enc.forward(Tensor(rng.uniform(size=(64, 64, 3))),
                       Tensor(rng.uniform(size=(64, 64, 1))))
-    assert out.shape == (8, 8, 64)
+    assert out.shape == (8 * 8, 64)
 
 
 def test_thermal_independence_at_init(rng):
@@ -54,7 +55,7 @@ def test_baseline_depends_on_thermal(rng):
     rgb = Tensor(rng.uniform(size=(64, 64, 3)))
     a = enc.forward(rgb, Tensor(rng.uniform(size=(64, 64, 1)))).data
     b = enc.forward(rgb, Tensor(rng.uniform(size=(64, 64, 1)))).data
-    assert a.shape == (8, 8, 64)
+    assert a.shape == (8 * 8, 64)  # the RGB-position tokens only
     assert not np.array_equal(a, b)
 
 

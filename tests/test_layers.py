@@ -6,8 +6,7 @@ import pytest
 
 from rgbtseg.layers import (ConvTranspose2x2, LayerNorm, Linear, Mlp,
                             MultiHeadAttention, PatchEmbed, SEBlock,
-                            TransformerBlock, bilinear_resize, grid_to_tokens,
-                            tokens_to_grid)
+                            TransformerBlock, bilinear_resize, tokens_to_grid)
 from rgbtseg.params import ParamRegistry
 from rgbtseg.tensor import ShapeError, Tensor
 
@@ -75,23 +74,25 @@ def test_lora_does_not_shift_base_weights(rng):
 
 def test_se_block_gates_channels(rng):
     se = SEBlock(_reg(), "se", 8, 4, rng)
-    x = rng.normal(size=(5, 5, 8))
+    x = rng.normal(size=(25, 8))  # a 5x5 grid's tokens
     out = se(Tensor(x)).data
     ratio = out / x
-    # a single per-channel gate in (0, 1) applied everywhere
-    assert np.allclose(ratio, ratio[0, 0], atol=1e-12)
+    # a single per-channel gate in (0, 1) applied to every token
+    assert np.allclose(ratio, ratio[0], atol=1e-12)
     assert (ratio > 0).all() and (ratio < 1).all()
 
 
 def test_patch_embed_row_major_flatten(rng):
-    """First output token equals the projection of the top-left patch
-    flattened in (row, col, channel) order."""
+    """Token i·Wp + j equals the projection of patch (i, j) flattened in
+    (row, col, channel) order."""
     pe = PatchEmbed(_reg(), "pe", 2, 3, 6, rng)
-    img = rng.normal(size=(4, 4, 3))
+    img = rng.normal(size=(4, 6, 3))  # a 2x3 patch grid
     out = pe(Tensor(img)).data
-    patch = img[:2, :2, :].reshape(-1)  # row-major
-    assert np.allclose(out[0, 0], patch @ pe.W.data + pe.b.data)
-    assert out.shape == (2, 2, 6)
+    assert out.shape == (2 * 3, 6)
+    for i in range(2):
+        for j in range(3):
+            patch = img[2 * i:2 * i + 2, 2 * j:2 * j + 2, :].reshape(-1)  # row-major
+            assert np.allclose(out[i * 3 + j], patch @ pe.W.data + pe.b.data)
 
 
 def test_patch_embed_divisibility(rng):
@@ -101,9 +102,10 @@ def test_patch_embed_divisibility(rng):
 
 
 def test_grid_token_round_trip():
-    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    back = tokens_to_grid(grid_to_tokens(x), 2, 3)
-    assert np.array_equal(back.data, x.data)
+    """Row-major tokens become the grid they were flattened from."""
+    x = np.arange(24.0).reshape(2, 3, 4)
+    back = tokens_to_grid(Tensor(x.reshape(2 * 3, 4)), 2, 3)
+    assert np.array_equal(back.data, x)
 
 
 def test_transformer_block_residual_structure(rng):

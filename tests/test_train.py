@@ -23,9 +23,11 @@ from rgbtseg.tensor import NumericError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# The fused layer and loss nodes link 304 tape nodes for this step; frozen
-# weights and constants are not linked (443 nodes if they were).
-TAPE_NODE_BUDGET = 330
+# The fused layer and loss nodes link 287 tape nodes for this step; frozen
+# weights and constants are not linked (426 nodes if they were). Image
+# features stay token sequences from the patch embedding to the two-way
+# decoder's end; a grid/token round trip around each layer would add 17.
+TAPE_NODE_BUDGET = 295
 
 # The tracemalloc peak of this step's forward and backward, in MiB: 13.1 when
 # attention rebuilds its probabilities in backward and the loss holds bool
@@ -228,6 +230,30 @@ def test_evaluate_refuses_an_empty_sample_list():
     _, model, vocab, _ = _setup()
     with pytest.raises(ValueError, match="no samples to evaluate"):
         train_mod.evaluate(model, vocab, [])
+
+
+def test_a_batch_whose_pixels_are_all_ignored_records_a_nan_miou_and_the_run_goes_on():
+    cfg, model, vocab, samples = _setup(steps=2)
+    cfg.train.batch = 2
+    samples = samples[:2]
+    for s in samples:
+        s.labels[...] = cfg.train.ignore_label
+    with pytest.warns(UserWarning, match="every pixel of an image is ignored"):
+        history = train_mod.train(model, vocab, samples, cfg.train)
+    assert [r.step for r in history] == [0, 1]
+    assert all(r.loss == 0.0 and np.isnan(r.miou) for r in history)
+
+
+def test_evaluate_refuses_a_split_tagged_overall_before_predicting(monkeypatch):
+    """Its row would be overwritten by the row over every split."""
+    _, model, vocab, _ = _setup()
+    samples = [*gen_synthetic(2, (32, 32), seed=9, split="overall"),
+               *gen_synthetic(3, (32, 32), seed=10, split="test")]
+    predicted = []
+    monkeypatch.setattr(RgbtSegModel, "predict", lambda *a, **k: predicted.append(a))
+    with pytest.raises(ValueError, match="split tag 'overall' is reserved"):
+        train_mod.evaluate(model, vocab, samples)
+    assert predicted == []
 
 
 @pytest.mark.parametrize("ignore", [0, 3])
