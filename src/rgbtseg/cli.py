@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .config import ModelConfig, RunConfig, check_ignore_label
+from .config import ModelConfig, RunConfig
 from .data import CLASS_NAMES, gen_synthetic, load_dataset, save_dataset
 from .losses import LabelError, valid_labels
 from .model import RgbtSegModel
@@ -60,13 +61,13 @@ def _seed(text: str) -> int:
     return value
 
 
-def _check_labels(samples, chosen, num_classes: int, ignore_label: int) -> None:
+def _check_labels(samples, chosen, num_classes: int) -> None:
     """Refuse the first of ``chosen``, naming its index in the manifest
-    ``samples``, that holds a label outside [0, num_classes) other than
-    ``ignore_label``: found later, it would end a run mid-way."""
+    ``samples``, that holds a label outside [0, num_classes) other than the
+    ignore label: found later, it would end a run mid-way."""
     for s in chosen:
         try:
-            valid_labels(s.labels, num_classes, ignore_label)
+            valid_labels(s.labels, num_classes)
         except LabelError as e:
             raise UsageError(f"manifest sample {samples.index(s)}: {e}") from None
 
@@ -119,8 +120,7 @@ def cmd_train(args) -> int:
     cfg.model.num_classes = vocab.num_classes  # sizes the text-free head
     model = RgbtSegModel(cfg)
     model.decoder.check_vocab(vocab)
-    check_ignore_label(cfg.train.ignore_label, vocab.num_classes)
-    _check_labels(samples, train_samples, vocab.num_classes, cfg.train.ignore_label)
+    _check_labels(samples, train_samples, vocab.num_classes)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,11 +159,10 @@ def cmd_eval(args) -> int:
     manifest, class_names = load_dataset(args.data)
     vocab = _resolve_vocab(args.classes, args.ckpt, class_names, cfg)
     model.decoder.check_vocab(vocab)
-    check_ignore_label(cfg.train.ignore_label, vocab.num_classes)
     tagged = [s for s in manifest if s.split == args.split] if args.split else manifest
     samples = tagged or manifest
-    _check_labels(manifest, samples, vocab.num_classes, cfg.train.ignore_label)
-    results = evaluate(model, vocab, samples, cfg.train.ignore_label)
+    _check_labels(manifest, samples, vocab.num_classes)
+    results = evaluate(model, vocab, samples)
 
     name_w = max(len(n) for n in vocab.names)
     lines = [f"{'split':<10} " + " ".join(f"{n:>{name_w}}" for n in vocab.names)
@@ -177,7 +176,7 @@ def cmd_eval(args) -> int:
         doc[split] = {
             "per_class": {n: (None if np.isnan(v) else v)
                           for n, v in zip(vocab.names, res.per_class)},
-            "miou": res.miou,
+            "miou": None if np.isnan(res.miou) else res.miou,
             "num_samples": res.num_samples,
         }
     # write first, so a failed write leaves no table on stdout
@@ -206,9 +205,6 @@ def cmd_infer(args) -> int:
     model, cfg = _load_model(args.ckpt, args.config)
     vocab = _resolve_vocab(args.classes, args.ckpt, None, cfg)
     model.decoder.check_vocab(vocab)
-    if vocab.num_classes > 256:
-        raise UsageError(f"{vocab.num_classes} classes do not fit the 8-bit mask "
-                         "infer writes (at most 256)")
     rgb = to_float(read_ppm(args.rgb))
     th = to_float(read_pgm(args.thermal))[:, :, None]
     pred = model.predict(rgb, th, vocab, _parse_points(args.points))
@@ -296,6 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -307,8 +307,10 @@ def main(argv=None) -> int:
             parser.print_help()
             return 2
         # the program checks every result it keeps for NaN and Inf itself, so
-        # numpy's floating-point warnings would only precede its one-line abort
-        with np.errstate(all="ignore"):
+        # numpy's floating-point warnings would only precede its one-line abort;
+        # a Python warning is one line, like the program's own
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             return args.fn(args)
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)

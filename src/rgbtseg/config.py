@@ -45,24 +45,16 @@ class ModelConfig:
 
 @dataclass(slots=True)
 class TrainConfig:
-    # The Dice smoothing is a constant, not a config field: no run tunes it.
+    # Constants, not config fields: no run tunes the Dice smoothing, and every
+    # label map is an 8-bit PGM whose value 255 marks an ignored pixel.
     dice_smooth: ClassVar[float] = 1.0
+    ignore_label: ClassVar[int] = 255
     lr: float = 5e-4
     weight_decay: float = 0.01
     lambda_dice: float = 1.0
-    ignore_label: int = 255
     steps: int = 200
     batch: int = 4
     seed: int = 0
-
-
-def check_ignore_label(ignore_label: int, num_classes: int) -> None:
-    """Reject an ignore label that is one of the ``num_classes`` class indices:
-    it would silently drop that class from the loss and metric."""
-    if 0 <= ignore_label < num_classes:
-        raise ConfigValidationError(
-            f"ignore_label {ignore_label} is a class index; with "
-            f"{num_classes} classes it must lie outside [0, {num_classes})")
 
 
 _KINDS = {

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .params import ParamRegistry, derive_rng
 from .tensor import Tensor
 
@@ -39,7 +40,11 @@ def toy_text_embed(name: str, dim: int, seed: int = 0) -> np.ndarray:
 
 @dataclass
 class ClassVocabulary:
-    """Ordered class names with L2-normalized text embeddings [C, dim]."""
+    """Ordered class names with L2-normalized text embeddings [C, dim].
+
+    At most ``TrainConfig.ignore_label`` (255) classes: label maps and the
+    mask ``infer`` writes are 8-bit, and their value 255 marks an ignored
+    pixel, so it can be no class index."""
     names: list[str]
     embeddings: np.ndarray
     dim: int
@@ -47,6 +52,11 @@ class ClassVocabulary:
     def __post_init__(self):
         if len(self.names) == 0:
             raise VocabularyFormatError("vocabulary needs at least one class")
+        if len(self.names) > TrainConfig.ignore_label:
+            raise VocabularyFormatError(
+                f"vocabulary has {len(self.names)} classes; at most "
+                f"{TrainConfig.ignore_label} fit an 8-bit label map, whose value "
+                f"{TrainConfig.ignore_label} marks an ignored pixel")
         if len(set(self.names)) != len(self.names):
             raise VocabularyFormatError("duplicate class names in vocabulary")
         if self.embeddings.shape != (len(self.names), self.dim):

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import TrainConfig, check_ignore_label
+from .config import TrainConfig
 from .data import RgbtSample
 from .losses import total_loss
 from .metrics import IouAccumulator
@@ -70,7 +70,7 @@ def _batch_loss(model: RgbtSegModel, vocab: ClassVocabulary,
         labels = np.stack([s.labels for s in group])
         out = model.forward(np.stack([s.rgb for s in group]),
                             np.stack([s.thermal for s in group]), vocab)
-        term = total_loss(out.logits, labels, cfg.lambda_dice, cfg.ignore_label)
+        term = total_loss(out.logits, labels, cfg.lambda_dice)
         term = term * (len(group) / cfg.batch)
         loss = term if loss is None else loss + term
         acc.update(np.argmax(out.logits.data, axis=-1), labels)
@@ -102,14 +102,13 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
     optimizer moves anything: a gradient that is not finite, or whose square
     overflows, raises ``NumericError`` naming its parameter. On any abort the
     parameters and the optimizer state are left as the previous step left
-    them.
+    them. A batch with no labelled pixel has no loss to descend, so its step
+    leaves them as they are too: AdamW's weight and moment decay do not run.
 
-    Raises ``ValueError`` for an empty ``samples`` or an ignore label that is
-    one of the vocabulary's class indices.
+    Raises ``ValueError`` for an empty ``samples``.
     """
     if not samples:
         raise ValueError("no training samples")
-    check_ignore_label(cfg.ignore_label, vocab.num_classes)
     _keep_freed_heap()
     opt = AdamW(model.registry, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
@@ -128,7 +127,7 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
             by_shape.setdefault(s.shapes, []).append(s)
         groups = list(by_shape.values())
 
-        acc = IouAccumulator(num_classes, cfg.ignore_label)
+        acc = IouAccumulator(num_classes)
         opt.zero_grad()
         loss = checked(partial(_batch_loss, model, vocab, groups, cfg, acc), tape=True)
         loss.backward()
@@ -136,11 +135,11 @@ def train(model: RgbtSegModel, vocab: ClassVocabulary, samples: list[RgbtSample]
         if bad is not None:
             opt.zero_grad()
             raise NumericError(bad)
-        opt.step()
+        if acc.counts.any():  # else every pixel of the batch is ignored
+            opt.step()
         opt.zero_grad()
 
-        miou = acc.miou() if acc.counts.any() else math.nan  # all ignored
-        rec = StepRecord(step=step, loss=loss.item(), miou=miou)
+        rec = StepRecord(step=step, loss=loss.item(), miou=acc.miou())
         history.append(rec)
         if log_fn is not None:
             log_fn(rec)
@@ -156,30 +155,28 @@ class SplitResult:
 
 
 def evaluate(model: RgbtSegModel, vocab: ClassVocabulary,
-             samples: list[RgbtSample],
-             ignore_label: int = 255) -> dict[str, SplitResult]:
+             samples: list[RgbtSample]) -> dict[str, SplitResult]:
     """Per-split metric tables; splits come from the samples' tags, plus an
     'overall' row aggregating everything, whose integer counts are the sum of
-    the splits'.
+    the splits'. A split with no labelled pixel scores every class absent and
+    an mIoU of NaN.
 
-    Raises ``ValueError``, before the first predict, for an empty ``samples``,
-    a sample tagged 'overall' (that row would overwrite its split's) or an
-    ignore label that is one of the vocabulary's class indices.
+    Raises ``ValueError``, before the first predict, for an empty ``samples``
+    or a sample tagged 'overall' (that row would overwrite its split's).
     """
     if not samples:
         raise ValueError("no samples to evaluate")
     if any(s.split == "overall" for s in samples):
         raise ValueError("split tag 'overall' is reserved for the row over all "
                          "splits; retag those samples")
-    check_ignore_label(ignore_label, vocab.num_classes)
     accs: dict[str, IouAccumulator] = {}
     counts: dict[str, int] = {}
     for s in samples:
         pred = model.predict(s.rgb, s.thermal, vocab)
-        acc = accs.setdefault(s.split, IouAccumulator(vocab.num_classes, ignore_label))
+        acc = accs.setdefault(s.split, IouAccumulator(vocab.num_classes))
         acc.update(pred, s.labels)
         counts[s.split] = counts.get(s.split, 0) + 1
-    overall = IouAccumulator(vocab.num_classes, ignore_label)
+    overall = IouAccumulator(vocab.num_classes)
     for acc in accs.values():
         overall.counts += acc.counts
     results = {

@@ -20,7 +20,8 @@ from rgbtseg.config import RunConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.optim import AdamW
 from rgbtseg.pnm import read_pgm, write_pgm
-from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
+from rgbtseg.prompts import (ClassVocabulary, VocabularyFormatError, load_text_embeddings,
+                             save_text_embeddings)
 
 
 def _dir_bytes(root):
@@ -218,15 +219,17 @@ def test_train_refusal_without_train_split_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_on_a_manifest_whose_pixels_are_all_ignored_logs_nan_miou(tmp_path):
+def test_train_on_a_manifest_whose_pixels_are_all_ignored_logs_nan_miou(tmp_path, capsys):
+    """The losses' warning is one line, like the program's own."""
     data = tmp_path / "ds"
     assert cli.main(["gen-data", "--out", str(data), "--n", "2", "--size", "32"]) == 0
     for path in data.glob("*_label.pgm"):
         write_pgm(path, np.full_like(read_pgm(path), 255))
     out = tmp_path / "o"
-    with pytest.warns(UserWarning, match="every pixel of an image is ignored"):
-        assert cli.main(["train", "--data", str(data), "--out", str(out),
-                         "--steps", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(data), "--out", str(out), "--steps", "2"]) == 0
+    assert capsys.readouterr().err == ("warning: every pixel of an image is ignored; "
+                                       "its loss is defined as 0\n")
     assert [line.split("\t")[2] for line in
             (out / "metrics.tsv").read_text().splitlines()] == ["nan", "nan"]
     assert (out / "checkpoint.tseg").exists()
@@ -296,7 +299,7 @@ def test_bad_config_exits_2(tmp_path, dataset):
     ({"model": {"heads": True}}, "model.heads must be an int, got True"),
     ({"train": {"steps": 1.5}}, "train.steps must be an int, got 1.5"),
     ({"train": {"ignore_label": 2}},
-     "ignore_label 2 is a class index; with 4 classes it must lie outside [0, 4)"),
+     "train.ignore_label is retired; it loads only as 255, got 2"),
     (None, "config must be an object, got None"),
     ("abc", "config must be an object, got 'abc'"),
     ([1], "config must be an object, got [1]"),
@@ -432,14 +435,14 @@ def test_nan_poisoned_mid_run_exits_3_naming_the_op(dataset, tmp_path, capsys,
 
 def test_a_run_directory_with_the_retired_keys_still_evaluates(short_run, dataset,
                                                                tmp_path):
-    """Before ten keys were retired, ``to_json`` wrote them into every
+    """Before eleven keys were retired, ``to_json`` wrote them into every
     config.json, at the values below; such a run directory loads the same
     config and evaluates to the same bytes."""
     doc = json.loads((short_run / "config.json").read_text())
     old_doc = json.loads((short_run / "config.json").read_text())
     old_doc["model"].update(image_size=64, patch=8, lora_alpha=None, decoder_layers=2,
                             mask_tokens=4, d_k=32, d_v=32, se_reduction=4)
-    old_doc["train"].update(dice_smooth=1.0, cosine_lr=False)
+    old_doc["train"].update(dice_smooth=1.0, ignore_label=255, cosine_lr=False)
     assert len(old_doc["model"]) + len(old_doc["train"]) + 1 == 27
     old = tmp_path / "old_run"
     shutil.copytree(short_run, old)
@@ -576,28 +579,34 @@ def test_eval_refuses_a_label_outside_the_classes_before_predicting(
     assert not out.exists()
 
 
-def test_eval_refuses_an_ignore_label_that_is_a_class_index_before_any_output(
-        short_run, dataset, tmp_path, capsys):
-    """Trained with ``ignore_label`` 4 and 4 classes, evaluated with a fifth
-    class: label 4 would be dropped from the fifth class's ground truth. The
-    refusal comes before the warning for a split no sample is tagged with."""
-    cfg = RunConfig.from_json_file(short_run / "config.json")
-    cfg.train.ignore_label = 4
-    config = tmp_path / "ignore_4.json"
-    config.write_text(cfg.to_json())
-    classes = tmp_path / "classes.json"
-    save_text_embeddings(classes, ClassVocabulary.from_names(
-        ["a", "b", "c", "d", "extra"], cfg.model.d_t))
-    out = tmp_path / "r.json"
+def _strict_json(text):
+    """``text`` parsed as JSON that holds no ``NaN`` or ``Infinity``."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_scores_a_split_with_no_labelled_pixel_as_null(short_run, dataset, tmp_path,
+                                                            capsys):
+    """Its row prints ``nan`` and writes ``null``, and the other rows are
+    scored as if it were not there."""
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    for entry in doc["samples"][:2]:
+        entry["split"] = "unlabelled"
+        write_pgm(data / entry["label"], np.full_like(read_pgm(data / entry["label"]), 255))
+    (data / "manifest.json").write_text(json.dumps(doc))
     capsys.readouterr()
-    assert cli.main(["eval", "--ckpt", str(short_run / "checkpoint.tseg"),
-                     "--data", str(dataset), "--config", str(config),
-                     "--classes", str(classes), "--split", "absent",
-                     "--out", str(out)]) == 2
-    assert capsys.readouterr() == (
-        "", "error: ignore_label 4 is a class index; with 5 classes it must lie "
-            "outside [0, 5)\n")
-    assert not out.exists()
+    assert cli.main(_eval(short_run / "checkpoint.tseg", data, tmp_path)) == 0
+    out, err = capsys.readouterr()
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+    assert err == "" and rows["unlabelled"] == ["absent"] * 4 + ["nan"]
+    result = _strict_json((tmp_path / "r.json").read_text())
+    assert result["unlabelled"] == {"per_class": dict.fromkeys(doc["classes"]),
+                                    "miou": None, "num_samples": 2}
+    assert result["train"]["per_class"] == result["overall"]["per_class"]
+    assert result["train"]["miou"] == result["overall"]["miou"] > 0
 
 
 def _empty_manifest(tmp_path):
@@ -837,23 +846,40 @@ def _vocab_file(tmp_path, num_classes, dim):
     return str(path)
 
 
-@pytest.mark.parametrize("num_classes", [256, 257])
-def test_infer_writes_at_most_256_classes_to_its_8_bit_mask(short_run, dataset, tmp_path,
-                                                             capsys, num_classes):
-    out = tmp_path / "m.pgm"
-    capsys.readouterr()
-    code = cli.main(["infer", "--ckpt", str(short_run / "checkpoint.tseg"),
-                     "--rgb", str(dataset / "sample_0000_rgb.ppm"),
-                     "--thermal", str(dataset / "sample_0000_th.pgm"),
-                     "--classes", _vocab_file(tmp_path, num_classes, RunConfig().model.d_t),
-                     "--out", str(out)])
-    if num_classes == 256:
-        assert code == 0 and read_pgm(out).shape == (64, 64)
+@pytest.mark.parametrize("num_classes", [255, 256])
+def test_a_vocabulary_holds_at_most_255_classes(short_run, dataset, tmp_path, capsys,
+                                                num_classes):
+    """Label maps and the mask infer writes are 8-bit, and 255 marks an
+    ignored pixel. Every way to a vocabulary takes 255 classes; at 256 each
+    refuses, and train, eval and infer exit 2 with one line and no output."""
+    d_t = RunConfig().model.d_t
+    names = [f"class_{i}" for i in range(num_classes)]
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps({"dim": d_t, "classes": [
+        {"name": n, "embedding": [1.0] * d_t} for n in names]}))
+    ckpt = str(short_run / "checkpoint.tseg")
+    out = tmp_path / "o"
+    infer = ["infer", "--ckpt", ckpt, "--rgb", str(dataset / "sample_0000_rgb.ppm"),
+             "--thermal", str(dataset / "sample_0000_th.pgm")]
+    if num_classes == 255:
+        assert ClassVocabulary.from_names(names, d_t).num_classes == 255
+        assert load_text_embeddings(classes).num_classes == 255
+        assert cli.main([*infer, "--classes", str(classes), "--out", str(out)]) == 0
+        assert read_pgm(out).shape == (64, 64)
         return
-    assert code == 2
-    assert capsys.readouterr() == ("", "error: 257 classes do not fit the 8-bit mask "
-                                   "infer writes (at most 256)\n")
-    assert not out.exists()
+    message = ("vocabulary has 256 classes; at most 255 fit an 8-bit label map, whose "
+               "value 255 marks an ignored pixel")
+    for build in (lambda: ClassVocabulary.from_names(names, d_t),
+                  lambda: load_text_embeddings(classes)):
+        with pytest.raises(VocabularyFormatError) as e:
+            build()
+        assert str(e.value) == message
+    for argv in (["train", "--data", str(dataset), "--steps", "1"],
+                 ["eval", "--ckpt", ckpt, "--data", str(dataset)], infer):
+        capsys.readouterr()
+        assert cli.main([*argv, "--classes", str(classes), "--out", str(out)]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "infer"])

@@ -8,20 +8,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rgbtseg.config import (ConfigValidationError, ModelConfig, RunConfig, TrainConfig,
-                            check_ignore_label)
+from rgbtseg.config import ConfigValidationError, ModelConfig, RunConfig, TrainConfig
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary
 
 MODEL_FIELDS = ["d", "heads", "depth", "lora_rank", "d_t", "num_classes",
                 "enable_dffm", "enable_decoder_lora", "enable_text"]
-TRAIN_FIELDS = ["lr", "weight_decay", "lambda_dice", "ignore_label", "steps", "batch",
-                "seed"]
+TRAIN_FIELDS = ["lr", "weight_decay", "lambda_dice", "steps", "batch", "seed"]
 RUN_FIELDS = ["model", "train", "backbone_seed"]
 # retired to constants; every config.json written before held these values
 CONSTANTS = {"model": {"image_size": 64, "patch": 8, "decoder_layers": 2, "mask_tokens": 4,
                        "d_k": 32, "d_v": 32, "se_reduction": 4},
-             "train": {"dice_smooth": 1.0}}
+             "train": {"dice_smooth": 1.0, "ignore_label": 255}}
 
 
 def test_the_config_holds_exactly_the_listed_fields():
@@ -71,7 +69,3 @@ def test_the_least_dimensions_the_gate_loads_build_and_run_a_model():
         pred = RgbtSegModel(cfg).predict(np.zeros((8, 8, 3)), np.zeros((8, 8, 1)), vocab)
         assert pred.shape == (8, 8) and not pred.any()
 
-
-@pytest.mark.parametrize("ignore_label", [-1, 4])
-def test_an_ignore_label_just_outside_the_class_range_loads(ignore_label):
-    check_ignore_label(ignore_label, 4)

@@ -16,7 +16,6 @@ ERRORS = {
     "config": {"ConfigValidationError": "ValueError"},
     "data": {"ManifestError": "ValueError"},
     "losses": {"LabelError": "ValueError"},
-    "metrics": {"MetricError": "ValueError"},
     "optim": {"FreezeViolationError": "RuntimeError"},
     "params": {"DuplicateParamError": "ValueError"},
     "pnm": {"PnmFormatError": "ValueError"},

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rgbtseg.losses import LabelError
-from rgbtseg.metrics import (IouAccumulator, MetricError, confusion_counts,
-                             iou_from_counts, iou_per_class, miou)
+from rgbtseg.metrics import (IouAccumulator, confusion_counts, iou_from_counts,
+                             iou_per_class, miou)
 
 
 def test_hand_oracle():
@@ -38,9 +38,11 @@ def test_absent_class_policy():
     assert miou(per_class) == 1.0
 
 
-def test_no_present_classes_is_error():
-    with pytest.raises(MetricError):
-        miou(np.array([np.nan, np.nan]))
+def test_no_present_classes_give_a_nan_miou():
+    assert np.isnan(miou(np.array([np.nan, np.nan])))
+    acc = IouAccumulator(2)
+    acc.update(np.array([[0, 1]]), np.array([[255, 255]]))
+    assert not acc.counts.any() and np.isnan(acc.miou())
 
 
 def test_ignore_label_excluded():

@@ -13,7 +13,7 @@ import pytest
 from rgbtseg import metrics
 from rgbtseg import tensor as T
 from rgbtseg import train as train_mod
-from rgbtseg.config import ConfigValidationError, RunConfig
+from rgbtseg.config import RunConfig, TrainConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.losses import total_loss
 from rgbtseg.model import RgbtSegModel
@@ -67,8 +67,7 @@ def _tape_nodes(root) -> int:
 def _step_loss(cfg, model, vocab, samples):
     logits = model.forward(np.stack([s.rgb for s in samples]),
                            np.stack([s.thermal for s in samples]), vocab).logits
-    return total_loss(logits, np.stack([s.labels for s in samples]),
-                      cfg.train.lambda_dice, cfg.train.ignore_label)
+    return total_loss(logits, np.stack([s.labels for s in samples]), cfg.train.lambda_dice)
 
 
 def test_training_step_stays_within_the_tape_node_budget():
@@ -218,14 +217,6 @@ def test_empty_training_set_is_rejected():
         train_mod.train(model, vocab, [], cfg.train)
 
 
-@pytest.mark.parametrize("ignore", [0, 3])
-def test_ignore_label_inside_the_class_range_is_rejected(ignore):
-    cfg, model, vocab, samples = _setup()
-    cfg.train.ignore_label = ignore
-    with pytest.raises(ConfigValidationError, match=f"ignore_label {ignore}"):
-        train_mod.train(model, vocab, samples, cfg.train)
-
-
 def test_evaluate_refuses_an_empty_sample_list():
     _, model, vocab, _ = _setup()
     with pytest.raises(ValueError, match="no samples to evaluate"):
@@ -256,15 +247,44 @@ def test_evaluate_refuses_a_split_tagged_overall_before_predicting(monkeypatch):
     assert predicted == []
 
 
-@pytest.mark.parametrize("ignore", [0, 3])
-def test_evaluate_refuses_an_ignore_label_inside_the_class_range_before_predicting(
-        monkeypatch, ignore):
+def test_a_batch_whose_pixels_are_all_ignored_moves_no_parameter(monkeypatch):
+    """Its gradient is zero, but AdamW's weight and moment decay would still
+    move the parameters; the optimizer does not step at all."""
+    cfg, model, vocab, samples = _setup(steps=2)
+    cfg.train.batch = 2
+    samples = samples[:2]
+    for s in samples:
+        s.labels[...] = cfg.train.ignore_label
+    optimizers = []
+
+    class RecordingAdamW(AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(train_mod, "AdamW", RecordingAdamW)
+    before = {name: t.data.copy() for name, t in model.registry.trainable()}
+    with pytest.warns(UserWarning, match="every pixel of an image is ignored"):
+        train_mod.train(model, vocab, samples, cfg.train)
+    assert optimizers[0].t == 0
+    for name, t in model.registry.trainable():
+        assert t.data.tobytes() == before[name].tobytes(), name
+
+
+def test_evaluate_scores_a_split_with_no_labelled_pixel_as_nan():
+    """Its row scores every class absent; the other rows are scored as if it
+    were not there."""
     _, model, vocab, samples = _setup()
-    predicted = []
-    monkeypatch.setattr(RgbtSegModel, "predict", lambda *a, **k: predicted.append(a))
-    with pytest.raises(ConfigValidationError, match=f"ignore_label {ignore} is a class"):
-        train_mod.evaluate(model, vocab, samples, ignore)
-    assert predicted == []
+    ignored = samples[:2]
+    for s in ignored:
+        s.labels[...] = TrainConfig.ignore_label
+    labelled = gen_synthetic(1, (32, 32), seed=9, split="test")
+    results = train_mod.evaluate(model, vocab, [*ignored, *labelled])
+    assert np.isnan(results["train"].per_class).all() and np.isnan(results["train"].miou)
+    alone = train_mod.evaluate(model, vocab, labelled)["test"]
+    for split in ("test", "overall"):
+        assert np.array_equal(results[split].per_class, alone.per_class, equal_nan=True)
+        assert results[split].miou == alone.miou and not np.isnan(alone.miou)
 
 
 def test_evaluate_scores_the_overall_row_over_every_sample_once(monkeypatch):
