@@ -29,7 +29,7 @@ from .prompts import (ClassVocabulary, PointPrompt, load_text_embeddings,
                       save_text_embeddings)
 from .tensor import NumericError
 from .train import evaluate, train
-from .verify import run_suite
+from .verify import PICKS, run_suite
 
 PALETTE = np.array([
     [0, 0, 0], [220, 60, 60], [60, 220, 60], [60, 60, 220],
@@ -223,8 +223,10 @@ def cmd_gradcheck(args) -> int:
     worst = max(results, key=lambda r: r[1].max_rel_err)
     for name, rep in results:
         status = "ok" if rep.passed else "FAIL"
+        # the suite's default config trains every pick, so worst_input indexes PICKS
+        at = f", worst at {PICKS[rep.worst_input]}" if name == "full_model" else ""
         print(f"{status:>4}  {name:<28} max_rel_err {rep.max_rel_err:.3e} "
-              f"({rep.checked_coords} coords)")
+              f"({rep.checked_coords} coords){at}")
     print(f"worst: {worst[0]} at {worst[1].max_rel_err:.3e}")
     print(f"suite wall time: {seconds:.2f} s")
     return 0 if ok else 1

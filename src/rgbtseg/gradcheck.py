@@ -22,6 +22,10 @@ value bitwise, so a shortcut that drifts from ``f`` raises ``GradCheckError``.
 
 A non-finite analytic or numeric derivative scores an error of ``inf``, so
 the check fails.
+
+A check can be split over its inputs: check each part with ``rng`` advanced
+past the earlier parts' ``draw_coords``, and ``join_reports`` builds from the
+parts' reports the report of one check over all the inputs.
 """
 
 from __future__ import annotations
@@ -43,6 +47,35 @@ class GradCheckReport:
     checked_coords: int
     worst_input: int = 0
     per_input: list = field(default_factory=list)
+
+
+def _report(per_input: list, checked_coords: int, tol: float) -> GradCheckReport:
+    """The report of a check whose inputs scored ``per_input``: the worst
+    input is the first with the largest error."""
+    max_err = max(per_input, default=0.0)
+    return GradCheckReport(
+        max_rel_err=max_err,
+        passed=max_err <= tol,
+        tol=tol,
+        checked_coords=checked_coords,
+        worst_input=per_input.index(max_err) if per_input else 0,
+        per_input=per_input,
+    )
+
+
+def join_reports(reports) -> GradCheckReport:
+    """The report of one check over the inputs of ``reports``, in order, each
+    at the coordinates its own check drew."""
+    return _report([e for r in reports for e in r.per_input],
+                   sum(r.checked_coords for r in reports), reports[0].tol)
+
+
+def draw_coords(n: int, max_coords_per_input: int | None, rng: np.random.Generator):
+    """The flat coordinates ``gradcheck`` checks of an input of ``n``
+    elements: all of them, or ``max_coords_per_input`` drawn from ``rng``."""
+    if max_coords_per_input is not None and n > max_coords_per_input:
+        return rng.choice(n, size=max_coords_per_input, replace=False)
+    return range(n)
 
 
 def _rel_err(analytic: float, numeric: float) -> float:
@@ -102,20 +135,13 @@ def gradcheck(
             for t in inputs
         ]
 
-        max_err = 0.0
-        worst_input = 0
         per_input = []
         n_checked = 0
         for i, (t, ev) in enumerate(zip(inputs, evaluators)):
             flat = t.data.reshape(-1)
-            n = flat.size
-            if max_coords_per_input is not None and n > max_coords_per_input:
-                coords = rng.choice(n, size=max_coords_per_input, replace=False)
-            else:
-                coords = range(n)
             input_err = 0.0
             value = partial(ev, *inputs)
-            for j in coords:
+            for j in draw_coords(flat.size, max_coords_per_input, rng):
                 orig = flat[j]
                 try:
                     flat[j] = orig + eps
@@ -129,19 +155,8 @@ def gradcheck(
                 input_err = max(input_err, err)
                 n_checked += 1
             per_input.append(input_err)
-            if input_err > max_err:
-                max_err = input_err
-                worst_input = i
     finally:
         for t, flag in zip(inputs, saved_flags):
             t.requires_grad = flag
             t.grad = None
-
-    return GradCheckReport(
-        max_rel_err=max_err,
-        passed=max_err <= tol,
-        tol=tol,
-        checked_coords=n_checked,
-        worst_input=worst_input,
-        per_input=per_input,
-    )
+    return _report(per_input, n_checked, tol)

@@ -15,16 +15,21 @@ the chain at the first stage reading it. The stages before it compute
 exactly the cached input, so the report is bitwise the report of a check
 that runs the full forward for every evaluation.
 
-``run_suite`` runs the two halves side by side: the full-model check in one
-spawned worker process and the op checks in the caller. The halves are
-independent and each takes about half the suite. The op checks' products are
-too small for OpenBLAS to thread, but the full-model check's 64x64x64
-products would take every BLAS thread, so the worker runs one and leaves the
-other core to the op checks. The worker persists until the interpreter
-exits, because starting one means a fresh interpreter importing rgbtseg: only
-the first suite in a process pays that, overlapped with the op checks. One
-BLAS thread gives bitwise the results of the default count, so the report is
-that of the in-process composition.
+``run_suite`` runs the op checks in the caller and the full-model check in
+two spawned worker processes, one ``PARTS`` slice of ``PICKS`` each, and
+joins the two reports into the report of one check: each part draws the
+coordinates a check of all the picks draws for its picks. In process at one
+BLAS thread the op checks take about 300 ms and the parts 291 and 349 ms, so
+no process waits long for another; one worker with the whole check (611 ms)
+would leave the caller idle for about 300 ms of every suite. The caller
+builds no model, which keeps its memory at that of the op checks. The op
+checks' products are too small for OpenBLAS to thread, while the full-model
+check's 64x64x64 products would take every BLAS thread, so each worker runs
+one. The workers persist until the interpreter exits, because starting one
+means a fresh interpreter importing rgbtseg: only the first suite in a
+process pays that, overlapped with the op checks. One BLAS thread gives
+bitwise the results of the default count, so the report is that of the
+in-process composition.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .data import gen_synthetic
-from .gradcheck import GradCheckReport, gradcheck
+from .gradcheck import GradCheckReport, draw_coords, gradcheck, join_reports
 from .layers import (ConvTranspose2x2, LayerNorm, Linear, MultiHeadAttention,
                      PatchEmbed, SEBlock, TransformerBlock, bilinear_resize)
 from .lora import LoraLinear
@@ -227,7 +232,8 @@ def loss_chain(model: RgbtSegModel, vocab: ClassVocabulary, labels: np.ndarray,
 
 
 def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int = 6,
-                     cfg: RunConfig | None = None) -> GradCheckReport:
+                     cfg: RunConfig | None = None,
+                     picks: slice = slice(None)) -> GradCheckReport:
     """End-to-end gradient check of total_loss through encoder and decoder, on
     the model of ``cfg`` (the default config if None), over the ``PICKS`` it
     trains. The analytic gradients come from one taped full forward. The
@@ -236,7 +242,12 @@ def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int
     folding the chain without a tape; picks of the first stage run
     ``model.forward`` itself. No earlier stage reads the pick, so the report
     equals, field for field, a check that runs the full forward for every
-    evaluation."""
+    evaluation.
+
+    ``picks`` narrows the check to the trained picks in ``PICKS[picks]``, each
+    at the coordinates the check of all ``PICKS`` draws for it. So
+    ``join_reports`` of the checks of consecutive slices equals the check of
+    their union."""
     model, rgb, th, vocab, labels = full_model_setup(seed, cfg)
     chain = loss_chain(model, vocab, labels, POINTS, rgb.shape[-3:-1])
     inputs = [(rgb, th)]
@@ -257,12 +268,16 @@ def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int
                                         labels),
                   *map(resume, range(1, len(chain)))]
     trained = dict(model.registry.trainable())
-    picks = [n for n in PICKS if n in trained]
+    start, stop, _ = picks.indices(len(PICKS))
+    rng = np.random.default_rng(seed + 1)
+    for n in PICKS[:start]:  # the draws of the picks before the slice
+        if n in trained:
+            draw_coords(trained[n].size, max_coords_per_input, rng)
+    names = [n for n in PICKS[start:stop] if n in trained]
     first = [next(k for k, (prefixes, _) in enumerate(chain) if n.startswith(prefixes))
-             for n in picks]
-    return gradcheck(evaluators[0], [trained[n] for n in picks],
-                     tol=tol, max_coords_per_input=max_coords_per_input,
-                     rng=np.random.default_rng(seed + 1),
+             for n in names]
+    return gradcheck(evaluators[0], [trained[n] for n in names],
+                     tol=tol, max_coords_per_input=max_coords_per_input, rng=rng,
                      evaluators=[evaluators[k] for k in first])
 
 
@@ -287,30 +302,40 @@ def one_blas_thread():
                 os.environ[k] = v
 
 
-_worker = None  # the full-model check's process pool, made by the first run_suite
+# The full-model check's parts, one per worker: the thermal patch embedding
+# and the three DFFM picks, then the rest. In process at one BLAS thread
+# they take 291 and 349 ms; a split after 3 picks gave 240 and 400 ms, after
+# 5 picks 350 and 285 ms. Each part repeats about 30 ms of set-up (the model,
+# the taped forward and backward, the stage inputs).
+PARTS = (slice(None, 4), slice(4, None))
+
+_workers = None  # the pool running PARTS, made by the first run_suite
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4):
     """All checks; returns (results, all_passed). The results are those of
     ``op_checks`` followed by ("full_model", ``full_model_check``), the latter
-    computed in the worker process while the caller runs the op checks.
+    joined from its ``PARTS``, each computed in a worker process while the
+    caller runs the op checks. The caller builds no model.
 
-    A worker that dies raises RuntimeError, and the next call starts a fresh
-    one; an exception the check raises in the worker is raised here."""
-    global _worker
+    A worker that dies raises RuntimeError, and the next call starts fresh
+    ones; an exception the check raises in a worker is raised here."""
+    global _workers
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     starting = nullcontext()
-    if _worker is None:
+    if _workers is None:
         import multiprocessing
-        _worker = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
-        starting = one_blas_thread()  # the pool starts its process on this submit
+        _workers = ProcessPoolExecutor(len(PARTS),
+                                       mp_context=multiprocessing.get_context("spawn"))
+        starting = one_blas_thread()  # the pool starts a process on each submit
     try:
         with starting:
-            future = _worker.submit(full_model_check, seed, tol)
+            futures = [_workers.submit(full_model_check, seed, tol, picks=part)
+                       for part in PARTS]
         results = list(op_checks(seed, tol))
-        results.append(("full_model", future.result()))
+        results.append(("full_model", join_reports([f.result() for f in futures])))
     except BrokenProcessPool as e:  # from submit if the pool saw the death first
-        _worker.shutdown()
-        _worker = None
-        raise RuntimeError(f"the full-model check's worker process died: {e}") from None
+        _workers.shutdown()
+        _workers = None
+        raise RuntimeError(f"a full-model check worker process died: {e}") from None
     return results, all(r.passed for _, r in results)

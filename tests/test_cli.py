@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgbtseg import cli
+from rgbtseg import cli, verify
 from rgbtseg.checkpoint import (FrozenDigest, load_checkpoint, save_checkpoint,
                                 serialize)
 from rgbtseg.config import RunConfig
@@ -471,7 +471,9 @@ def test_print_config_round_trips(capsys):
 def test_gradcheck_command_exits_0(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
-    assert "full_model" in out
+    # the full-model check's line names its worst pick
+    worst_pick, = re.findall(r"^  ok  full_model .*, worst at (\S+)$", out, re.M)
+    assert worst_pick in verify.PICKS
     *_, worst, wall = out.splitlines()
     assert worst.startswith("worst: ")
     assert re.fullmatch(r"suite wall time: \d+\.\d\d s", wall)

@@ -2,9 +2,11 @@
 each pick's finite differences at the first stage of ``verify.loss_chain``
 (the encoder's and the decoder's stages, then the loss) that reads the pick,
 from stage inputs computed once; on every config that must not change the
-report. ``run_suite`` computes the full-model check in a worker process and
-must return the report of the in-process composition."""
+report. ``run_suite`` computes the full-model check in two worker processes,
+one part of the picks each, and must return the report of the in-process
+composition."""
 
+import functools
 import json
 import os
 import signal
@@ -20,7 +22,7 @@ from rgbtseg import verify
 from rgbtseg.config import RunConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.decoder import TwoWayLayer
-from rgbtseg.gradcheck import gradcheck
+from rgbtseg.gradcheck import gradcheck, join_reports
 from rgbtseg.losses import total_loss
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary, PointPrompt
@@ -80,6 +82,25 @@ def test_split_report_equals_one_check_of_the_full_forward(config_name):
 
     assert len(report.per_input) == PICKED[config_name]
     assert report == reference  # every field, bitwise
+
+
+@functools.cache
+def _one_check(config_name):
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+    return verify.full_model_check(0, max_coords_per_input=1, cfg=cfg)
+
+
+# the baseline trains 9 picks, so its parts also skip untrained ones
+@pytest.mark.parametrize("config_name, split", [
+    ("ablation_7_full", 1), ("ablation_7_full", 4), ("ablation_7_full", 8),
+    ("ablation_7_full", 16), ("ablation_1_baseline", 6)])
+def test_joined_halves_equal_one_check(config_name, split):
+    cfg = RunConfig.from_json_file(CONFIGS / f"{config_name}.json")
+    joined = join_reports([
+        verify.full_model_check(0, max_coords_per_input=1, cfg=cfg, picks=part)
+        for part in (slice(None, split), slice(split, None))])
+    assert joined == _one_check(config_name)
+    assert repr(joined) == repr(_one_check(config_name))
 
 
 def _fold(chain, rgb, th):
@@ -167,24 +188,45 @@ def test_the_suite_equals_its_in_process_composition():
     assert passed
 
 
-def _worker_pid() -> int:
-    return verify._worker.submit(os.getpid).result(timeout=60)
+def _worker_pids() -> list:
+    return sorted(verify._workers._processes)
+
+
+def test_the_caller_builds_no_model(monkeypatch):
+    """The workers build the full-model check's models; the caller keeps only
+    the op checks, so its memory stays theirs."""
+    built = []
+    init = RgbtSegModel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RgbtSegModel, "__init__", counting)
+    results, passed = verify.run_suite(0)
+    assert passed and built == []
+    # the default config trains every pick, so `rgbtseg gradcheck` names
+    # the worst one by indexing PICKS
+    assert len(results[-1][1].per_input) == len(verify.PICKS)
 
 
 def test_the_first_suite_leaves_the_environment_and_exit_joins_the_worker():
-    """One thread variable set to 2 and the others unset: the worker starts
+    """One thread variable set to 2 and the others unset: both workers start
     with all three at 1, the caller's environment is as it was, and the
-    worker is gone once the interpreter that started it has exited."""
+    workers are gone once the interpreter that started them has exited."""
     code = """
 import json, os
 from rgbtseg import verify
 before = {k: os.environ.get(k) for k in verify.THREAD_VARS}
 results, passed = verify.run_suite(0)
 after = {k: os.environ.get(k) for k in verify.THREAD_VARS}
-worker = verify._worker
-seen = [worker.submit(os.getenv, k).result(timeout=60) for k in verify.THREAD_VARS]
-pid = worker.submit(os.getpid).result(timeout=60)
-print(json.dumps([passed, before == after, seen, pid]))
+pids = sorted(verify._workers._processes)
+seen = []
+for pid in pids:  # each worker's environment as it started
+    with open(f"/proc/{pid}/environ", "rb") as f:
+        env = dict(v.decode().split("=", 1) for v in f.read().split(b"\\0") if v)
+    seen.append([env.get(k) for k in verify.THREAD_VARS])
+print(json.dumps([passed, before == after, seen, pids]))
 """
     src = Path(verify.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k not in verify.THREAD_VARS}
@@ -193,17 +235,21 @@ print(json.dumps([passed, before == after, seen, pid]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    passed, unchanged, seen, pid = json.loads(proc.stdout)
-    assert passed and unchanged and seen == ["1"] * 3
-    with pytest.raises(ProcessLookupError):
-        os.kill(pid, 0)
+    passed, unchanged, seen, pids = json.loads(proc.stdout)
+    assert passed and unchanged and len(pids) == len(verify.PARTS)
+    assert seen == [["1"] * 3] * len(pids)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_a_killed_worker_fails_one_suite_and_the_next_starts_afresh():
     verify.run_suite(0)
-    pid = _worker_pid()
-    os.kill(pid, signal.SIGKILL)
-    with pytest.raises(RuntimeError, match="worker process died"):
-        verify.run_suite(0)
-    assert verify.run_suite(0)[1]
-    assert _worker_pid() != pid
+    for i in range(len(verify.PARTS)):  # kill each worker in turn
+        pids = _worker_pids()
+        assert len(pids) == len(verify.PARTS)
+        os.kill(pids[i], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="worker process died"):
+            verify.run_suite(0)
+        assert verify.run_suite(0)[1]
+        assert set(_worker_pids()).isdisjoint(pids)
