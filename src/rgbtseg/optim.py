@@ -19,6 +19,14 @@ class FreezeViolationError(RuntimeError):
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
+def check_frozen(registry: ParamRegistry) -> None:
+    """Raise ``FreezeViolationError`` naming the first frozen parameter that
+    holds a gradient."""
+    for name, p in registry.frozen():
+        if p.grad is not None:
+            raise FreezeViolationError(f"gradient present on frozen parameter '{name}'")
+
+
 class AdamW:
     def __init__(self, registry: ParamRegistry, lr: float, weight_decay: float):
         self.registry = registry
@@ -31,10 +39,7 @@ class AdamW:
         }
 
     def step(self) -> None:
-        for name, p in self.registry.frozen():
-            if p.grad is not None:
-                raise FreezeViolationError(
-                    f"gradient present on frozen parameter '{name}'")
+        check_frozen(self.registry)
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t

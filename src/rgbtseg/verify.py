@@ -34,8 +34,7 @@ in-process composition.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .model import RgbtSegModel
 from .params import ParamRegistry
 from .prompts import ClassVocabulary, PointPrompt
 from .tensor import Tensor
+from .workers import one_blas_thread
 
 
 def _rand(rng, *shape):
@@ -281,27 +281,6 @@ def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int
                      evaluators=[evaluators[k] for k in first])
 
 
-# the variables that set the thread count of the BLAS libraries numpy may load
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def one_blas_thread():
-    """Set every ``THREAD_VARS`` variable to 1, then restore each, unsetting
-    those that were unset. A BLAS library reads them when it loads, so this
-    pins the processes started inside the block, not the running one."""
-    saved = {k: os.environ.get(k) for k in THREAD_VARS}
-    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 # The full-model check's parts, one per worker: the thermal patch embedding
 # and the three DFFM picks, then the rest. In process at one BLAS thread
 # they take 291 and 349 ms; a split after 3 picks gave 240 and 400 ms, after
@@ -318,8 +297,8 @@ def run_suite(seed: int = 0, tol: float = 1e-4):
     joined from its ``PARTS``, each computed in a worker process while the
     caller runs the op checks. The caller builds no model.
 
-    A worker that dies raises RuntimeError, and the next call starts fresh
-    ones; an exception the check raises in a worker is raised here."""
+    A worker that dies raises ChildProcessError, and the next call starts
+    fresh ones; an exception the check raises in a worker is raised here."""
     global _workers
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     starting = nullcontext()
@@ -337,5 +316,5 @@ def run_suite(seed: int = 0, tol: float = 1e-4):
     except BrokenProcessPool as e:  # from submit if the pool saw the death first
         _workers.shutdown()
         _workers = None
-        raise RuntimeError(f"a full-model check worker process died: {e}") from None
+        raise ChildProcessError(f"a full-model check worker process died: {e}") from None
     return results, all(r.passed for _, r in results)

@@ -1,6 +1,6 @@
 """The leading batch axis: batched layers, model and losses agree with the
 per-sample loop, gradients through batched layers are correct, and training
-stacks each batch into one forward per image shape."""
+stacks each half of a batch into one forward per image shape."""
 
 import math
 from pathlib import Path
@@ -125,11 +125,19 @@ def test_mixed_size_training_takes_finite_steps(monkeypatch):
         return forward(self, rgb, th, *args, **kwargs)
 
     monkeypatch.setattr(RgbtSegModel, "forward", recording_forward)
+    monkeypatch.setattr("rgbtseg.train._use_workers", lambda: False)
     history = train(model, vocab, samples, TrainConfig(steps=2, batch=6, seed=2))
     assert all(math.isfinite(r.loss) for r in history)
     assert abs(history[0].loss - np.mean(per_sample)) <= 1e-12 * np.mean(per_sample)
-    # one stacked forward per image shape of a batch, never one per sample
-    assert sorted(batches) == [(2, 32, 32, 3)] * 2 + [(4, 64, 64, 3)] * 2
+    # one stacked forward per image shape of each half of a batch, never one
+    # per sample; each batch is a permutation of the whole dataset
+    rng, want = np.random.default_rng(2), []
+    for _ in history:
+        idx = rng.permutation(len(samples))
+        for half in (idx[:3], idx[3:]):
+            shapes = [samples[i].rgb.shape for i in half]
+            want += [(shapes.count(s), *s) for s in set(shapes)]
+    assert sorted(batches) == sorted(want)
 
 
 def test_forward_rejects_mismatched_leading_dims():

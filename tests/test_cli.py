@@ -235,6 +235,19 @@ def test_train_on_a_manifest_whose_pixels_are_all_ignored_logs_nan_miou(tmp_path
     assert (out / "checkpoint.tseg").exists()
 
 
+def test_a_warning_from_the_step_workers_prints_as_one_line(tmp_path):
+    """In a fresh process, whose stderr holds whatever a step worker prints,
+    the workers' warnings are issued again by the caller: one line, once."""
+    data = tmp_path / "ds"
+    assert cli.main(["gen-data", "--out", str(data), "--n", "2", "--size", "32"]) == 0
+    for path in data.glob("*_label.pgm"):
+        write_pgm(path, np.full_like(read_pgm(path), 255))
+    proc = _run_cli("train", "--data", data, "--out", tmp_path / "o", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: every pixel of an image is ignored; "
+                           "its loss is defined as 0\n")
+
+
 def test_infer_deterministic_and_in_range(short_run, dataset, tmp_path):
     rgb = str(dataset / "sample_0000_rgb.ppm")
     th = str(dataset / "sample_0000_th.pgm")
@@ -383,6 +396,7 @@ cfg.train.steps = 1
 model = RgbtSegModel(cfg)
 vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
 samples = gen_synthetic(4, (32, 32), seed=0)
+train._use_workers = lambda: False  # the step runs here, where its imports show
 train.train(model, vocab, samples, cfg.train)
 model.predict(samples[0].rgb, samples[0].thermal, vocab)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

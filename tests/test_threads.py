@@ -1,5 +1,7 @@
 """Thread-count invariance: seeded training steps and a predict give bitwise
-the same parameters and labels whatever number of threads BLAS runs."""
+the same parameters and labels whatever number of threads BLAS runs. The
+steps run their halves in turn in process, so that the BLAS threads are
+this process's; the step workers' own bits are pinned in test_train.py."""
 
 import hashlib
 import json
@@ -7,13 +9,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+from rgbtseg import train as train_mod
 from rgbtseg.config import RunConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary
-from rgbtseg.train import train
-from rgbtseg.verify import THREAD_VARS
+from rgbtseg.workers import THREAD_VARS
 
 LABELS = "predict labels"
 
@@ -26,7 +29,8 @@ def digests() -> dict[str, str]:
     model = RgbtSegModel(cfg)
     vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
     samples = gen_synthetic(8, (64, 64), seed=9)
-    train(model, vocab, samples, cfg.train)
+    with mock.patch.object(train_mod, "_use_workers", lambda: False):
+        train_mod.train(model, vocab, samples, cfg.train)
     out = {name: hashlib.sha256(t.data.tobytes()).hexdigest()
            for name, (t, _) in model.registry.items()}
     labels = model.predict(samples[0].rgb, samples[0].thermal, vocab)

@@ -1,8 +1,14 @@
 """The training step: one finite check per step, a replay that names the op or
 the parameter, nothing moved by a failed step, the tape-node, memory and
-matmul budgets, and no numpy.ma import; and evaluation's overall row."""
+matmul budgets, and no numpy.ma import; the step workers' bits, death and
+exit; and evaluation's overall row.
 
+Tests that patch code a step runs patch it in this process only, so they
+run the halves in turn here (``train._use_workers``)."""
+
+import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +23,7 @@ from rgbtseg.config import RunConfig, TrainConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.losses import total_loss
 from rgbtseg.model import RgbtSegModel
-from rgbtseg.optim import AdamW
+from rgbtseg.optim import AdamW, FreezeViolationError
 from rgbtseg.prompts import ClassVocabulary
 from rgbtseg.tensor import NumericError
 
@@ -126,12 +132,13 @@ from rgbtseg.config import RunConfig
 from rgbtseg.data import CLASS_NAMES, gen_synthetic
 from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary
-from rgbtseg.train import train
+from rgbtseg import train
 cfg = RunConfig()
 cfg.train.steps = 2
 model = RgbtSegModel(cfg)
 vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
-train(model, vocab, gen_synthetic(4, (32, 32), seed=1), cfg.train)
+train._use_workers = lambda: False  # the step runs here, where its imports show
+train.train(model, vocab, gen_synthetic(4, (32, 32), seed=1), cfg.train)
 verify.run_suite(0)
 verify.full_model_check(0, max_coords_per_input=1)  # run_suite runs it in a worker
 print("numpy.ma" in sys.modules)
@@ -144,6 +151,7 @@ print("numpy.ma" in sys.modules)
 
 def test_finite_steps_run_no_per_op_check(monkeypatch):
     cfg, model, vocab, samples = _setup(steps=2)
+    monkeypatch.setattr(train_mod, "_use_workers", lambda: False)
     calls = []
     monkeypatch.setattr(T, "_check_finite", lambda data, op: calls.append(op))
     train_mod.train(model, vocab, samples, cfg.train)
@@ -191,6 +199,7 @@ def test_nonfinite_gradient_names_the_parameter_and_moves_nothing(monkeypatch, f
 
     monkeypatch.setattr(train_mod, "AdamW", RecordingAdamW)
     monkeypatch.setattr(T, "lora_linear", lora_linear)
+    monkeypatch.setattr(train_mod, "_use_workers", lambda: False)
     with pytest.raises(NumericError, match=f"^{message} '{target_name}'"):
         train_mod.train(model, vocab, samples, cfg.train, log_fn)
 
@@ -209,6 +218,116 @@ def test_nonfinite_forward_names_the_op():
     model.registry.get("encoder.dffm.0.conv_prev.W").data[0, 0] = np.nan
     with pytest.raises(NumericError, match="produced by op 'linear'"):
         train_mod.train(model, vocab, samples, cfg.train)
+
+
+def _params(model) -> dict[str, bytes]:
+    return {name: t.data.tobytes() for name, (t, _) in model.registry.items()}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["default", "mixed_size"])
+def test_two_workers_and_the_halves_in_turn_give_bitwise_equal_parameters(monkeypatch,
+                                                                          mixed):
+    """A leaf takes one deposit per backward, so the second backward in turn
+    adds the second half's gradient to the first's, which is the sum the
+    caller forms from the workers' two. The workers run one BLAS thread and
+    this process the default count. The mixed batch is four 64x64 and two
+    32x32 images."""
+    cfg = RunConfig()
+    cfg.train.steps = 3
+    samples = gen_synthetic(4, (64, 64), seed=4)
+    if mixed:
+        samples += gen_synthetic(2, (32, 32), seed=5)
+        cfg.train.batch = len(samples)
+    vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
+    runs = []
+    for workers in (True, False):
+        monkeypatch.setattr(train_mod, "_use_workers", lambda w=workers: w)
+        model = RgbtSegModel(cfg)
+        history = train_mod.train(model, vocab, samples, cfg.train)
+        runs.append(([(r.loss, r.miou) for r in history], _params(model)))
+    assert not train_mod._workers.closed
+    assert runs[0][0] == runs[1][0]
+    differ = [name for name, data in runs[0][1].items() if runs[1][1][name] != data]
+    assert not differ, f"first difference: {differ[0]}"
+
+
+def test_a_gradient_on_a_frozen_parameter_fails_the_half():
+    cfg, model, vocab, samples = _setup()
+    name, frozen = model.registry.frozen()[0]
+    frozen.requires_grad = True  # as if a layer had linked it
+    with pytest.raises(FreezeViolationError, match=f"frozen parameter '{name}'"):
+        train_mod._half_gradient(model, vocab, samples[:2], cfg.train)
+
+
+def test_a_killed_worker_fails_one_train_call_and_the_next_starts_afresh(monkeypatch):
+    """The call that finds a worker dead raises ChildProcessError, with the
+    model as the last good step left it; the next call starts two new
+    workers."""
+    cfg, model, vocab, samples = _setup(steps=3)
+    monkeypatch.setattr(train_mod, "_use_workers", lambda: True)
+    pids, after_step_1 = [], {}
+
+    def log_fn(rec):
+        if rec.step == 1:
+            after_step_1.update(_params(model))
+            pids.extend(p.pid for p in train_mod._workers.procs)
+            # the second worker, so that the first holds its half when the
+            # death is found
+            os.kill(pids[1], signal.SIGKILL)
+
+    with pytest.raises(ChildProcessError,
+                       match=r"^a training step worker process died \(exit code -9\)$"):
+        train_mod.train(model, vocab, samples, cfg.train, log_fn)
+    assert _params(model) == after_step_1
+    assert all(t.grad is None for _, (t, _) in model.registry.items())
+    assert len(train_mod.train(model, vocab, samples, cfg.train)) == cfg.train.steps
+    assert {p.pid for p in train_mod._workers.procs}.isdisjoint(pids)
+
+
+def test_no_worker_outlives_the_interpreter_also_after_log_fn_raised():
+    """A log_fn that raises (as a benchmark's deadline does) leaves the
+    workers usable: the second run steps on them until its log_fn raises
+    too. They are gone once the interpreter has exited."""
+    code = """
+import json
+from rgbtseg import train
+from rgbtseg.config import RunConfig
+from rgbtseg.data import CLASS_NAMES, gen_synthetic
+from rgbtseg.model import RgbtSegModel
+from rgbtseg.prompts import ClassVocabulary
+
+class Stop(Exception):
+    pass
+
+def stop(rec):
+    if rec.step == 1:
+        raise Stop
+
+train._use_workers = lambda: True
+cfg = RunConfig()
+cfg.train.steps = 3
+model = RgbtSegModel(cfg)
+vocab = ClassVocabulary.from_names(CLASS_NAMES, cfg.model.d_t, cfg.backbone_seed)
+samples = gen_synthetic(4, (32, 32), seed=1)
+pids = []
+for _ in range(2):
+    try:
+        train.train(model, vocab, samples, cfg.train, stop)
+    except Stop:
+        pids.append([p.pid for p in train._workers.procs])
+print(json.dumps(pids))
+"""
+    src = Path(T.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pids = json.loads(proc.stdout)
+    assert len(pids) == 2 and pids[0] == pids[1] and len(pids[0]) == 2
+    for pid in pids[0]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_empty_training_set_is_rejected():

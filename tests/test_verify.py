@@ -28,6 +28,7 @@ from rgbtseg.model import RgbtSegModel
 from rgbtseg.prompts import ClassVocabulary, PointPrompt
 from rgbtseg.tensor import Tensor
 from rgbtseg.train import train
+from rgbtseg.workers import THREAD_VARS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,6 +48,7 @@ def test_the_model_runs_exactly_the_listed_ops(monkeypatch):
         return from_op(data, parents, backward, op)
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(recording))
+    monkeypatch.setattr("rgbtseg.train._use_workers", lambda: False)  # ops run here
     # the baseline and the full model: between them every ablation switch
     # takes both values
     for config_name in ("ablation_1_baseline", "ablation_7_full"):
@@ -217,19 +219,20 @@ def test_the_first_suite_leaves_the_environment_and_exit_joins_the_worker():
     code = """
 import json, os
 from rgbtseg import verify
-before = {k: os.environ.get(k) for k in verify.THREAD_VARS}
+from rgbtseg.workers import THREAD_VARS
+before = {k: os.environ.get(k) for k in THREAD_VARS}
 results, passed = verify.run_suite(0)
-after = {k: os.environ.get(k) for k in verify.THREAD_VARS}
+after = {k: os.environ.get(k) for k in THREAD_VARS}
 pids = sorted(verify._workers._processes)
 seen = []
 for pid in pids:  # each worker's environment as it started
     with open(f"/proc/{pid}/environ", "rb") as f:
         env = dict(v.decode().split("=", 1) for v in f.read().split(b"\\0") if v)
-    seen.append([env.get(k) for k in verify.THREAD_VARS])
+    seen.append([env.get(k) for k in THREAD_VARS])
 print(json.dumps([passed, before == after, seen, pids]))
 """
     src = Path(verify.__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items() if k not in verify.THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -249,7 +252,7 @@ def test_a_killed_worker_fails_one_suite_and_the_next_starts_afresh():
         pids = _worker_pids()
         assert len(pids) == len(verify.PARTS)
         os.kill(pids[i], signal.SIGKILL)
-        with pytest.raises(RuntimeError, match="worker process died"):
+        with pytest.raises(ChildProcessError, match="worker process died"):
             verify.run_suite(0)
         assert verify.run_suite(0)[1]
         assert set(_worker_pids()).isdisjoint(pids)
