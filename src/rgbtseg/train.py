@@ -16,9 +16,8 @@ the first's, which is the sum the caller forms from the workers' two. The
 caller keeps the only optimizer and the only authoritative parameters. Each
 step it sends each worker its half's samples and the flat trainable
 parameters, and receives the half's loss, confusion counts and flat
-gradient. On 2 vCPUs the benchmark's default step (batch 4, 64×64) took a
-median of 27.9 ms in the workers, against 36.8 ms when one process ran the
-batch as one forward; the halves in turn take about 15% longer than that.
+gradient. The workers pay off only where two host cores are free to run
+them; README's Training section has the measurements.
 """
 
 from __future__ import annotations

@@ -2,14 +2,19 @@
 
 Each test prints one PASS/FAIL line (visible via pytest -rA). The three
 seeded 200-step runs of criteria 4 and 5 (the full model, the baseline and
-the text-free model) are module-scoped fixtures run in turn in the test
-process, where each training step runs its halves in the two step workers
-of ``rgbtseg.train``. Measured on 2 vCPUs, the three runs took 21-23 s
-together, each including its 32-image evaluation (16-17 s when two
-one-thread processes ran whole runs side by side, one of them two runs).
+the text-free model) are shared module-scoped fixtures, computed side by
+side in three spawned worker processes with one BLAS thread each. Those
+workers are daemonic, so each trains its run with a step's halves in turn
+(``rgbtseg.train``), which gives bitwise the parameters of the trainer's
+step worker, as one BLAS thread gives those of the default count
+(``test_threads.py``). Measured on 2 vCPUs, the three runs took 19-22 s
+together, each including its 32-image evaluation, and 24 s when run in
+turn in the test process, each step on the trainer's two step workers: a
+per-step exchange costs more than whole runs side by side.
 """
 
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -29,8 +34,12 @@ from rgbtseg.prompts import ClassVocabulary, save_text_embeddings
 from rgbtseg.tensor import Tensor
 from rgbtseg.train import evaluate, train
 from rgbtseg.verify import run_suite
+from rgbtseg.workers import one_blas_thread
 
 TRAIN_SEED, TEST_SEED = 1000, 2000
+# the model flags of each 200-step run, each computed in a worker of its own
+RUNS = {"full": {}, "baseline": {"enable_dffm": False}, "no_text": {"enable_text": False}}
+RUN_TIMEOUT_S = 600
 
 
 def _report(criterion, passed, detail):
@@ -39,10 +48,14 @@ def _report(criterion, passed, detail):
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def bench():
+def _bench():
     return (gen_synthetic(64, (64, 64), seed=TRAIN_SEED, split="train"),
             gen_synthetic(32, (64, 64), seed=TEST_SEED, split="test"))
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _bench()
 
 
 def _train_and_eval(bench, **model_flags):
@@ -59,19 +72,36 @@ def _train_and_eval(bench, **model_flags):
     return evaluate(model, vocab, test_set)["overall"]
 
 
-@pytest.fixture(scope="module")
-def run_full(bench):
-    return _train_and_eval(bench)
+def _train_and_eval_run(name):
+    """The overall result of the named run, in a worker process."""
+    return _train_and_eval(_bench(), **RUNS[name])
 
 
 @pytest.fixture(scope="module")
-def run_baseline(bench):
-    return _train_and_eval(bench, enable_dffm=False)
+def runs():
+    """A function from a run's name to its overall result. The workers start
+    with the thread variables set to 1, which are restored at once; a
+    worker's exception is raised again by the fixture that needs its run."""
+    with one_blas_thread():
+        pool = multiprocessing.get_context("spawn").Pool(len(RUNS))
+    with pool:
+        jobs = {name: pool.apply_async(_train_and_eval_run, (name,)) for name in RUNS}
+        yield lambda name: jobs[name].get(RUN_TIMEOUT_S)
 
 
 @pytest.fixture(scope="module")
-def run_no_text(bench):
-    return _train_and_eval(bench, enable_text=False)
+def run_full(runs):
+    return runs("full")
+
+
+@pytest.fixture(scope="module")
+def run_baseline(runs):
+    return runs("baseline")
+
+
+@pytest.fixture(scope="module")
+def run_no_text(runs):
+    return runs("no_text")
 
 
 def test_1_gradient_correctness():
