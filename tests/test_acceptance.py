@@ -8,7 +8,7 @@ workers are daemonic, so each trains its run with a step's halves in turn
 (``rgbtseg.train``), which gives bitwise the parameters of the trainer's
 step worker, as one BLAS thread gives those of the default count
 (``test_threads.py``). Measured on 2 vCPUs, the three runs took 19-22 s
-together, each including its 32-image evaluation, and 24 s when run in
+together, each including its 32-image evaluation, and 23-24 s when run in
 turn in the test process, each step on the trainer's two step workers: a
 per-step exchange costs more than whole runs side by side.
 """
