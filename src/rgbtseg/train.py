@@ -177,7 +177,7 @@ def _serve(conn) -> None:
             conn.send_bytes(grad)
 
 
-_workers: Workers | None = None  # the step workers, started by the first train that needs them
+_workers = Workers(_serve, 2, "training step")  # started by the first train that needs them
 
 # where the workers' warnings are issued again, so that each is shown once
 # as the "default" action shows a warning of the caller's own
@@ -187,7 +187,7 @@ _reissued: dict = {}
 def _use_workers() -> bool:
     """Whether a step's halves run in the step workers: on at least two usable
     CPUs, in a process that may start processes (a daemonic one may not)."""
-    import multiprocessing  # see Workers.__init__
+    import multiprocessing  # see Workers.exchange
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity masks here
@@ -206,9 +206,6 @@ def _gradient_in_workers(model: RgbtSegModel, vocab: ClassVocabulary, cfg: Train
     of the halves' flat gradients and returns each half's (loss, counts). A
     worker's exception is raised again here, after its half's warnings and
     those of the halves before it, as the halves in turn would raise it."""
-    global _workers
-    if _workers is None or _workers.closed:
-        _workers = Workers(_serve, 2, "training step")
     trainable = [p for _, p in model.registry.trainable()]
     params = np.empty(sum(p.size for p in trainable))
     rows = np.empty((2, params.size))

@@ -16,25 +16,25 @@ exactly the cached input, so the report is bitwise the report of a check
 that runs the full forward for every evaluation.
 
 ``run_suite`` runs the op checks in the caller and the full-model check in
-two spawned worker processes, one ``PARTS`` slice of ``PICKS`` each, and
-joins the two reports into the report of one check: each part draws the
-coordinates a check of all the picks draws for its picks. In process at one
-BLAS thread the op checks take about 300 ms and the parts 291 and 349 ms, so
-no process waits long for another; one worker with the whole check (611 ms)
-would leave the caller idle for about 300 ms of every suite. The caller
-builds no model, which keeps its memory at that of the op checks. The op
-checks' products are too small for OpenBLAS to thread, while the full-model
-check's 64x64x64 products would take every BLAS thread, so each worker runs
-one. The workers persist until the interpreter exits, because starting one
-means a fresh interpreter importing rgbtseg: only the first suite in a
-process pays that, overlapped with the op checks. One BLAS thread gives
-bitwise the results of the default count, so the report is that of the
+two ``workers.Workers`` processes (``_serve``), one ``PARTS`` slice of
+``PICKS`` each, and joins the two reports into the report of one check: each
+part draws the coordinates a check of all the picks draws for its picks. In
+process at one BLAS thread the op checks take about 300 ms and the parts 291
+and 349 ms, so no process waits long for another; one worker with the whole
+check (611 ms) would leave the caller idle for about 300 ms of every suite.
+The caller builds no model, which keeps its memory at that of the op checks.
+The op checks' products are too small for OpenBLAS to thread, while the
+full-model check's 64x64x64 products would take every BLAS thread, so each
+worker runs one. The workers persist until the interpreter exits, because
+starting one means a fresh interpreter importing rgbtseg: only the first
+suite in a process pays that, overlapped with the op checks. One BLAS thread
+gives bitwise the results of the default count, so the report is that of the
 in-process composition.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import signal
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .model import RgbtSegModel
 from .params import ParamRegistry
 from .prompts import ClassVocabulary, PointPrompt
 from .tensor import Tensor
-from .workers import one_blas_thread
+from .workers import Workers
 
 
 def _rand(rng, *shape):
@@ -288,7 +288,23 @@ def full_model_check(seed: int = 0, tol: float = 1e-4, max_coords_per_input: int
 # the taped forward and backward, the stage inputs).
 PARTS = (slice(None, 4), slice(4, None))
 
-_workers = None  # the pool running PARTS, made by the first run_suite
+
+def _serve(conn) -> None:
+    """A full-model check worker: reply to each ``(seed, tol, part)`` with
+    ``full_model_check(seed, tol, picks=part)`` or its exception, until EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's
+    while True:
+        try:
+            seed, tol, part = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(full_model_check(seed, tol, picks=part))
+        except Exception as e:
+            conn.send(e)
+
+
+_workers = Workers(_serve, len(PARTS), "full-model check")  # started by the first suite
 
 
 def run_suite(seed: int = 0, tol: float = 1e-4):
@@ -298,23 +314,14 @@ def run_suite(seed: int = 0, tol: float = 1e-4):
     caller runs the op checks. The caller builds no model.
 
     A worker that dies raises ChildProcessError, and the next call starts
-    fresh ones; an exception the check raises in a worker is raised here."""
-    global _workers
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    starting = nullcontext()
-    if _workers is None:
-        import multiprocessing
-        _workers = ProcessPoolExecutor(len(PARTS),
-                                       mp_context=multiprocessing.get_context("spawn"))
-        starting = one_blas_thread()  # the pool starts a process on each submit
-    try:
-        with starting:
-            futures = [_workers.submit(full_model_check, seed, tol, picks=part)
-                       for part in PARTS]
+    fresh ones; a worker's exception is raised here, the first part's first."""
+    with _workers.exchange() as conns:
+        for conn, part in zip(conns, PARTS):
+            conn.send((seed, tol, part))
         results = list(op_checks(seed, tol))
-        results.append(("full_model", join_reports([f.result() for f in futures])))
-    except BrokenProcessPool as e:  # from submit if the pool saw the death first
-        _workers.shutdown()
-        _workers = None
-        raise ChildProcessError(f"a full-model check worker process died: {e}") from None
+        reports = [conn.recv() for conn in conns]
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+    results.append(("full_model", join_reports(reports)))
     return results, all(r.passed for _, r in results)

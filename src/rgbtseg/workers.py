@@ -34,54 +34,55 @@ def one_blas_thread():
 
 
 class Workers:
-    """``count`` spawned processes, started inside ``one_blas_thread``, each
-    running ``target(conn)`` on its end of a duplex pipe; ``conns[k]`` is
-    this process's end of worker k's pipe. ``target`` must be importable by
-    name, and should return when its ``conn.recv()`` raises EOFError. The
-    workers are daemonic, so none outlives the interpreter, and they start
-    no processes of their own.
+    """``count`` spawned processes, each running ``target(conn)`` on its end
+    of a duplex pipe. ``target`` must be importable by name, and should
+    return when its ``conn.recv()`` raises EOFError. The workers are
+    daemonic, so none outlives the interpreter, and start no processes.
 
-    Talk to them only inside ``exchange``: a worker that dies there raises
-    ``ChildProcessError`` naming ``what``, and any exception that leaves the
-    block ends every worker, since a pipe may hold half a message. After
-    that ``closed`` is set and the owner starts new workers."""
+    Talk to them only inside ``exchange``: it yields this process's end of
+    each pipe, first starting the workers in ``one_blas_thread`` if there
+    are none. A worker that dies there raises ``ChildProcessError`` naming
+    ``what``; any exception that leaves the block ends every worker (a pipe
+    may hold half a message), and the next exchange starts new ones."""
 
     def __init__(self, target, count: int, what: str):
-        # imported here, not with the module: importing multiprocessing adds
-        # about 1.3 MB of RSS to processes that start no worker (infer)
-        import multiprocessing
-        ctx = multiprocessing.get_context("spawn")
-        self.what = what
-        self.closed = False
+        self.target, self.count, self.what = target, count, what
         self.procs, self.conns = [], []
-        with one_blas_thread():
-            for _ in range(count):
-                ours, theirs = ctx.Pipe()
-                proc = ctx.Process(target=target, args=(theirs,), daemon=True)
-                proc.start()
-                theirs.close()
-                self.procs.append(proc)
-                self.conns.append(ours)
 
     @contextmanager
     def exchange(self):
+        if not self.procs:
+            # imported here, not with the module: importing multiprocessing
+            # adds about 1.3 MB of RSS to processes that start no worker (infer)
+            import multiprocessing
+            ctx = multiprocessing.get_context("spawn")
+            procs, conns = [], []
+            with one_blas_thread():
+                for _ in range(self.count):
+                    ours, theirs = ctx.Pipe()
+                    proc = ctx.Process(target=self.target, args=(theirs,), daemon=True)
+                    proc.start()
+                    theirs.close()
+                    procs.append(proc)
+                    conns.append(ours)
+            self.procs, self.conns = procs, conns  # a failed start leaves none
         try:
             yield self.conns
         except (EOFError, OSError) as e:
             from multiprocessing.connection import wait
-            ended = wait([p.sentinel for p in self.procs], timeout=1.0)
-            self.close()
-            codes = [p.exitcode for p in self.procs if p.sentinel in ended]
+            procs = self.procs
+            ended = wait([p.sentinel for p in procs], timeout=1.0)
+            self.close()  # joins them, so that each ended one has its exit code
+            codes = [p.exitcode for p in procs if p.sentinel in ended]
             cause = f"exit code {codes[0]}" if codes else f"{type(e).__name__}: {e}"
-            raise ChildProcessError(
-                f"a {self.what} worker process died ({cause})") from None
+            raise ChildProcessError(f"a {self.what} worker process died ({cause})") from None
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        self.closed = True
         for proc, conn in zip(self.procs, self.conns):
             proc.terminate()
             proc.join()
             conn.close()
+        self.procs, self.conns = [], []

@@ -1,8 +1,10 @@
 """Thread-count invariance: seeded training steps and a predict give bitwise
 the same parameters and labels whatever number of threads BLAS runs. The
 steps run their halves in turn in process, so that the BLAS threads are
-this process's; the step workers' own bits are pinned in test_train.py."""
+this process's; the step workers' own bits are pinned in test_train.py.
+The benchmark names the same thread variables as the package."""
 
+import ast
 import hashlib
 import json
 import os
@@ -56,3 +58,13 @@ def test_one_blas_thread_gives_the_parameters_and_labels_of_this_process():
     assert pinned.keys() == ours.keys()
     differ = [name for name in ours if pinned[name] != ours[name]]
     assert not differ, f"first difference at one thread: {differ[0]}"
+
+
+def test_the_benchmark_sets_the_thread_variables_the_workers_set():
+    """``perfbench/run.py`` imports no numpy, so it keeps its own copy of
+    ``THREAD_VARS``; read it without importing the benchmark."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    copies = [ast.literal_eval(node.value) for node in ast.parse(run_py.read_text()).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["THREAD_VARS"]]
+    assert copies == [THREAD_VARS]

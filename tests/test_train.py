@@ -245,7 +245,7 @@ def test_two_workers_and_the_halves_in_turn_give_bitwise_equal_parameters(monkey
         model = RgbtSegModel(cfg)
         history = train_mod.train(model, vocab, samples, cfg.train)
         runs.append(([(r.loss, r.miou) for r in history], _params(model)))
-    assert not train_mod._workers.closed
+    assert train_mod._workers.procs
     assert runs[0][0] == runs[1][0]
     differ = [name for name, data in runs[0][1].items() if runs[1][1][name] != data]
     assert not differ, f"first difference: {differ[0]}"

@@ -191,7 +191,7 @@ def test_the_suite_equals_its_in_process_composition():
 
 
 def _worker_pids() -> list:
-    return sorted(verify._workers._processes)
+    return sorted(p.pid for p in verify._workers.procs)
 
 
 def test_the_caller_builds_no_model(monkeypatch):
@@ -223,7 +223,7 @@ from rgbtseg.workers import THREAD_VARS
 before = {k: os.environ.get(k) for k in THREAD_VARS}
 results, passed = verify.run_suite(0)
 after = {k: os.environ.get(k) for k in THREAD_VARS}
-pids = sorted(verify._workers._processes)
+pids = sorted(p.pid for p in verify._workers.procs)
 seen = []
 for pid in pids:  # each worker's environment as it started
     with open(f"/proc/{pid}/environ", "rb") as f:
@@ -252,7 +252,21 @@ def test_a_killed_worker_fails_one_suite_and_the_next_starts_afresh():
         pids = _worker_pids()
         assert len(pids) == len(verify.PARTS)
         os.kill(pids[i], signal.SIGKILL)
-        with pytest.raises(ChildProcessError, match="worker process died"):
+        with pytest.raises(ChildProcessError,
+                           match=r"^a full-model check worker process died \(exit code -9\)$"):
             verify.run_suite(0)
         assert verify.run_suite(0)[1]
         assert set(_worker_pids()).isdisjoint(pids)
+
+
+def test_a_worker_replies_with_the_exception_of_its_check_and_serves_on():
+    """A request the full-model check cannot run comes back as the exception
+    it raised; the same workers then serve the next suite."""
+    with verify._workers.exchange() as conns:
+        for conn in conns:
+            conn.send((0, 1e-4, None))  # None has no slice indices
+        replies = [conn.recv() for conn in conns]
+    assert all(isinstance(r, AttributeError) for r in replies), replies
+    pids = _worker_pids()
+    assert verify.run_suite(0)[1]
+    assert _worker_pids() == pids
